@@ -1,6 +1,7 @@
 """Solver laboratory for the multistage-graph simple path problem."""
 
 from .model import (
+    AbnormalTerminationError,
     EdgeRef,
     EdgeSet,
     MultistageGraph,
@@ -12,16 +13,20 @@ from .model import (
     validate,
 )
 from .operators import ReachMap, change, comp, init_all, init_reachable, tidy
-from .zh import SolveOptions, ZhResult, zh_solve, zh_trace
+from .zh import NO, YES, InvalidGraphError, ZhMetrics, ZhResult, replay_trace, zh_solve
 
 __all__ = [
+    "NO",
+    "YES",
+    "AbnormalTerminationError",
     "EdgeRef",
     "EdgeSet",
+    "InvalidGraphError",
     "MultistageGraph",
     "ReachMap",
-    "SolveOptions",
     "ValidationReport",
     "VertexId",
+    "ZhMetrics",
     "ZhResult",
     "change",
     "comp",
@@ -29,9 +34,9 @@ __all__ = [
     "edge_set",
     "init_all",
     "init_reachable",
+    "replay_trace",
     "stage_slice",
     "tidy",
     "validate",
     "zh_solve",
-    "zh_trace",
 ]

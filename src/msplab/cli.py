@@ -25,6 +25,7 @@ from .lab import (
     CampaignConfig,
     GenShape,
     bench_scaling,
+    counterexample_predicate,
     gen_msp,
     gen_ugraph,
     minimize,
@@ -32,7 +33,7 @@ from .lab import (
 )
 from .model import edge_ids, validate
 from .oracle import SearchBudget, oracle_simple_path
-from .zh import AbnormalTerminationError, InvalidGraphError, SolveOptions, zh_solve, zh_trace
+from .zh import AbnormalTerminationError, InvalidGraphError, zh_solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,7 +51,7 @@ exit codes:
   3  file error
   4  format error (parse failure, bad config)
   5  instance failed validation
-  6  internal abnormality (fixpoint bound exceeded)
+  6  internal abnormality (a solver invariant failed)
 
 environment:
   MSPLAB_ARCHIVE   default output directory for 'fuzz'
@@ -103,16 +104,12 @@ def _emit(args, machine_record: dict, human: str) -> None:
 
 def _cmd_solve(args) -> int:
     g = _load_instance(args.instance)
-    try:
-        if args.trace:
-            result, trace = zh_trace(g, SolveOptions(trace=True))
-            with Path(args.trace).open("w", encoding="utf-8") as fh:
-                for event in trace.events:
-                    fh.write(json.dumps(event, sort_keys=True) + "\n")
-        else:
-            result = zh_solve(g)
-    except AbnormalTerminationError as exc:
-        raise _CliFailure(EXIT_INTERNAL, str(exc)) from exc
+    trace = [] if args.trace else None
+    result = zh_solve(g, trace=trace)
+    if args.trace:
+        with Path(args.trace).open("w", encoding="utf-8") as fh:
+            for event in trace:
+                fh.write(json.dumps(event, sort_keys=True) + "\n")
     size = result.final_comp_ed.bit_count()
     _emit(
         args,
@@ -205,13 +202,7 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_minimize(args) -> int:
     g = _load_instance(args.instance)
-    budget = SearchBudget(max_nodes=args.oracle_max_nodes)
-
-    def predicate(candidate) -> bool:
-        if zh_solve(candidate).answer != "YES":
-            return False
-        return oracle_simple_path(candidate, budget).answer == "NO"
-
+    predicate = counterexample_predicate(args.oracle_max_nodes)
     if not predicate(g):
         raise _CliFailure(
             EXIT_INVALID, "instance is not a candidate counterexample (need solver YES, search NO)"
@@ -315,6 +306,9 @@ def main(argv=None) -> int:
     except InvalidGraphError as exc:
         print(f"msplab: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except AbnormalTerminationError as exc:
+        print(f"msplab: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except BrokenPipeError:
         return EXIT_FILE
 

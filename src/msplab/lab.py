@@ -26,9 +26,9 @@ import numpy as np
 
 from .formats import parse_instance, serialize_instance
 from .model import MultistageGraph, edge_ids, validate
-from .oracle import SearchBudget, oracle_simple_path
+from .oracle import TIMEOUT, SearchBudget, oracle_simple_path
 from .reduction import UndirectedGraph
-from .zh import zh_solve
+from .zh import NO, YES, zh_solve
 
 AGREE_YES = "AGREE_YES"
 AGREE_NO = "AGREE_NO"
@@ -169,13 +169,13 @@ def classify(zh_result, oracle_result) -> Verdict:
     """
     zh_answer = zh_result.answer
     oracle_answer = oracle_result.answer
-    if oracle_answer == "TIMEOUT":
+    if oracle_answer == TIMEOUT:
         kind = UNKNOWN
-    elif zh_answer == "YES" and oracle_answer == "YES":
+    elif zh_answer == YES and oracle_answer == YES:
         kind = AGREE_YES
-    elif zh_answer == "NO" and oracle_answer == "NO":
+    elif zh_answer == NO and oracle_answer == NO:
         kind = AGREE_NO
-    elif zh_answer == "NO" and oracle_answer == "YES":
+    elif zh_answer == NO and oracle_answer == YES:
         kind = BUG_NECESSITY
     else:
         kind = CANDIDATE_COUNTEREXAMPLE
@@ -185,13 +185,11 @@ def classify(zh_result, oracle_result) -> Verdict:
 # -- graph complexity order ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphVector:
-    components: tuple[int, ...]
+def vec_metric(g: MultistageGraph) -> tuple[int, ...]:
+    """Per-stage sum of (in-degree - 1); the final component is always 0.
 
-
-def vec_metric(g: MultistageGraph) -> GraphVector:
-    """Per-stage sum of (in-degree - 1); the final component is always 0."""
+    Vectors of graphs with equal stage counts compare lexicographically as
+    plain tuples."""
     report = validate(g)
     if not report.ok:
         raise ValueError(f"vec_metric needs a valid graph: {report.violations}")
@@ -202,23 +200,7 @@ def vec_metric(g: MultistageGraph) -> GraphVector:
             total += g.in_edges(name).bit_count() - 1
         comps.append(total)
     comps.append(0)
-    return GraphVector(tuple(comps))
-
-
-LESS = "LESS"
-EQUAL = "EQUAL"
-GREATER = "GREATER"
-
-
-def lex_compare(a: GraphVector, b: GraphVector) -> str:
-    if len(a.components) != len(b.components):
-        raise ValueError("vectors have different dimensions")
-    for x, y in zip(a.components, b.components):
-        if x < y:
-            return LESS
-        if x > y:
-            return GREATER
-    return EQUAL
+    return tuple(comps)
 
 
 # -- minimization -------------------------------------------------------------
@@ -227,7 +209,7 @@ def lex_compare(a: GraphVector, b: GraphVector) -> str:
 def _graph_sort_key(g: MultistageGraph):
     vertices, edges, esets = g.document_data()
     return (
-        vec_metric(g).components,
+        vec_metric(g),
         g.edge_count,
         g.vertex_count(),
         tuple(edges),
@@ -450,14 +432,15 @@ def run_instance(config: CampaignConfig, seed: int) -> dict:
     return record
 
 
-def _counterexample_predicate(config: CampaignConfig):
-    budget = SearchBudget(max_nodes=config.oracle_max_nodes)
+def counterexample_predicate(oracle_max_nodes: int):
+    """Predicate that holds on a candidate counterexample: solver YES, and
+    exhaustive search within ``oracle_max_nodes`` expansions NO."""
+    budget = SearchBudget(max_nodes=oracle_max_nodes)
 
     def predicate(g: MultistageGraph) -> bool:
-        zh_result = zh_solve(g)
-        if zh_result.answer != "YES":
+        if zh_solve(g).answer != YES:
             return False
-        return oracle_simple_path(g, budget).answer == "NO"
+        return oracle_simple_path(g, budget).answer == NO
 
     return predicate
 
@@ -533,7 +516,7 @@ def run_differential(
         archive = None
 
     seeds = range(config.seed + done, config.seed + config.instances)
-    predicate = _counterexample_predicate(config)
+    predicate = counterexample_predicate(config.oracle_max_nodes)
 
     def handle(record: dict) -> None:
         nonlocal done

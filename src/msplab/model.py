@@ -15,7 +15,7 @@ share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 EdgeSet = int  # bitmask over dense edge ids
 
@@ -24,6 +24,13 @@ EdgeTriple = tuple[str, str, int]  # (source name, target name, stage)
 
 class GraphStructureError(ValueError):
     """Raised when candidate data cannot be represented as a graph at all."""
+
+
+class AbnormalTerminationError(RuntimeError):
+    """An internal invariant failed: a fixpoint overran its proven sweep
+    bound, a reachable set grew, or a construction broke its size bound.
+    All solver state shrinks monotonically, so this signals an
+    implementation bug, not a hard instance."""
 
 
 @dataclass(frozen=True)
@@ -66,13 +73,6 @@ def edge_ids(mask: EdgeSet) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class MultistageGraph:

@@ -24,11 +24,7 @@ operators are pure functions of their inputs.
 
 from __future__ import annotations
 
-from .model import EdgeRef, EdgeSet, MultistageGraph, VertexId, edge_ids
-
-
-class FixpointOverrunError(RuntimeError):
-    """A contraction fixpoint exceeded its proven sweep bound (a bug)."""
+from .model import AbnormalTerminationError, EdgeRef, EdgeSet, MultistageGraph, VertexId, edge_ids
 
 
 def _vertex_index(g: MultistageGraph, v) -> int:
@@ -147,10 +143,9 @@ class ReachMap:
     callers can cheaply detect staleness.
     """
 
-    __slots__ = ("graph", "entries", "entry_versions", "version", "bits_deleted")
+    __slots__ = ("entries", "entry_versions", "version", "bits_deleted")
 
-    def __init__(self, graph: MultistageGraph, entries: list[int]):
-        self.graph = graph
+    def __init__(self, entries: list[int]):
         self.entries = entries
         self.entry_versions = [0] * len(entries)
         self.version = 0
@@ -163,22 +158,13 @@ class ReachMap:
         old = self.entries[eid]
         if mask == old:
             return False
-        assert mask & ~old == 0, "reachable sets may only shrink"
+        if mask & ~old:
+            raise AbnormalTerminationError(f"reachable set of edge {eid} would grow")
         self.entries[eid] = mask
         self.entry_versions[eid] += 1
         self.version += 1
         self.bits_deleted += (old & ~mask).bit_count()
         return True
-
-    def as_dict(self) -> dict[EdgeRef, list[int]]:
-        return {self.graph.edge(i): edge_ids(m) for i, m in enumerate(self.entries)}
-
-    def copy(self) -> "ReachMap":
-        clone = ReachMap(self.graph, list(self.entries))
-        clone.entry_versions = list(self.entry_versions)
-        clone.version = self.version
-        clone.bits_deleted = self.bits_deleted
-        return clone
 
 
 def init_all(g: MultistageGraph) -> ReachMap:
@@ -201,27 +187,16 @@ def init_all(g: MultistageGraph) -> ReachMap:
             both ^= low
     sink = g._stage_vertices[g.stage_count][0]
     entries = [_tidy_idx(g, collected[e], eto[e], sink) for e in range(m)]
-    return ReachMap(g, entries)
+    return ReachMap(entries)
 
 
-def comp(
-    es: EdgeSet,
-    v,
-    r: ReachMap,
-    g: MultistageGraph,
-    scheduling: str = "batch",
-) -> EdgeSet:
+def comp(es: EdgeSet, v, r: ReachMap, g: MultistageGraph) -> EdgeSet:
     """Contract ``es`` against the reachable sets, targeting vertex ``v``.
 
     Repeats two steps until stable: delete every member edge whose reachable
     set, intersected with the working set and tidied from the edge's head to
     ``v``, witnesses no path to ``v`` (members ending at ``v`` are exempt);
     then tidy the working set from the source to ``v``.
-
-    ``scheduling`` selects the deletion discipline inside a sweep: "batch"
-    (default: collect deletions, apply at sweep end), or "inplace" /
-    "inplace_desc" (apply immediately while sweeping ascending/descending),
-    kept for confluence experiments.
     """
     vi = _vertex_index(g, v)
     src = g._stage_vertices[0][0]
@@ -233,31 +208,21 @@ def comp(
     while True:
         sweeps += 1
         if sweeps > bound:
-            raise FixpointOverrunError(f"comp exceeded {bound} sweeps")
+            raise AbnormalTerminationError(f"comp exceeded {bound} sweeps")
         before = working
-        if scheduling == "batch":
-            dels = 0
-            m = working
-            while m:
-                low = m & -m
-                eid = low.bit_length() - 1
-                m ^= low
-                if eto[eid] != vi and not _reaches_idx(g, entries[eid] & working, eto[eid], vi):
-                    dels |= low
-            working &= ~dels
-        else:
-            ids = edge_ids(working)
-            if scheduling == "inplace_desc":
-                ids.reverse()
-            for eid in ids:
-                low = 1 << eid
-                if not (working & low):
-                    continue
-                if eto[eid] != vi and not _reaches_idx(g, entries[eid] & working, eto[eid], vi):
-                    working &= ~low
+        dels = 0
+        m = working
+        while m:
+            low = m & -m
+            eid = low.bit_length() - 1
+            m ^= low
+            if eto[eid] != vi and not _reaches_idx(g, entries[eid] & working, eto[eid], vi):
+                dels |= low
+        working &= ~dels
         working = _tidy_idx(g, working, src, vi)
         if working == before:
-            assert working & ~es == 0, "contraction violated"
+            if working & ~es:
+                raise AbnormalTerminationError("comp grew its input edge set")
             return working
 
 
@@ -310,7 +275,7 @@ def change(
     while True:
         sweeps += 1
         if sweeps > bound:
-            raise FixpointOverrunError(f"change exceeded {bound} sweeps")
+            raise AbnormalTerminationError(f"change exceeded {bound} sweeps")
         before = cur
         cands = cur & g.span_mask(stage + 1, g.stage_count)
         if cands:

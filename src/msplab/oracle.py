@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 from .model import MultistageGraph, validate
 from .reduction import UndirectedGraph
-from .zh import InvalidGraphError
+from .zh import NO, YES, InvalidGraphError
 
-YES = "YES"
-NO = "NO"
 TIMEOUT = "TIMEOUT"
 
 
@@ -49,12 +47,10 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def verify_simple_path(g: MultistageGraph, path, pre_simple: bool = False) -> bool:
+def verify_simple_path(g: MultistageGraph, path) -> bool:
     """True iff ``path`` (vertex names, source to sink) satisfies the
     prefix-containment rule at every vertex.
 
-    With ``pre_simple`` the rule is only enforced up to stage L-2 (a
-    definition variant kept for completeness; nothing here relies on it).
     Raises :class:`PathStructureError` if the path is not an edge-connected,
     stage-monotone source-to-sink path.
     """
@@ -68,7 +64,6 @@ def verify_simple_path(g: MultistageGraph, path, pre_simple: bool = False) -> bo
     if names[-1] != g.sink_name():
         raise PathStructureError(f"path ends at {names[-1]!r}, not the sink")
     prefix = 0
-    last_checked = g.stage_count - 2 if pre_simple else g.stage_count
     for stage in range(1, g.stage_count + 1):
         try:
             eid = g.edge_id(names[stage - 1], names[stage], stage)
@@ -77,11 +72,10 @@ def verify_simple_path(g: MultistageGraph, path, pre_simple: bool = False) -> bo
                 f"no stage-{stage} edge {names[stage - 1]!r} -> {names[stage]!r}"
             ) from None
         prefix |= 1 << eid
-        if stage <= last_checked:
-            if not g.has_eset(names[stage]):
-                return False
-            if prefix & ~g.eset(names[stage]):
-                return False
+        if not g.has_eset(names[stage]):
+            return False
+        if prefix & ~g.eset(names[stage]):
+            return False
     return True
 
 

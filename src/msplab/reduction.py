@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import EdgeTriple, MultistageGraph
+from .model import AbnormalTerminationError, EdgeTriple, MultistageGraph
 
 
 class ReductionError(ValueError):
@@ -127,8 +127,14 @@ def reduce_hc_to_msp(
     graph = skeleton.replace_esets(eset_masks)
 
     internal = (n - 1) * (n - 1)
-    assert graph.vertex_count() == internal + 2
-    assert graph.edge_count <= 2 * n**3
+    if graph.vertex_count() != internal + 2:
+        raise AbnormalTerminationError(
+            f"reduction of order {n} has {graph.vertex_count()} vertices, not {internal + 2}"
+        )
+    if graph.edge_count > 2 * n**3:
+        raise AbnormalTerminationError(
+            f"reduction of order {n} has {graph.edge_count} edges, over {2 * n**3}"
+        )
     stats = {
         "order": n,
         "internal_vertices": internal,

@@ -11,6 +11,10 @@ Shrunken per-vertex edge sets persist across sweeps (all state is monotone
 decreasing, which is what bounds the number of sweeps).  The run is fully
 deterministic: edges ascend by id, vertices by (stage, name), and every
 fixpoint applies deletions batch-wise per sweep.
+
+:func:`zh_solve` is the one entry point.  Given a ``trace`` list it also
+appends one event per reachable-set initialization and per deletion, which
+:func:`replay_trace` folds back into the final reachable sets.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .model import EdgeSet, MultistageGraph, edge_ids, validate
+from .model import AbnormalTerminationError, EdgeSet, MultistageGraph, edge_ids, validate
 from .operators import OperatorCaches, _tidy_idx, change, init_all
 
 YES = "YES"
@@ -35,17 +39,6 @@ class InvalidGraphError(ValueError):
         super().__init__(f"invalid multistage graph: {codes}")
 
 
-class AbnormalTerminationError(RuntimeError):
-    """The outer sweep bound was exceeded; reachable sets shrink monotonically,
-    so this signals an implementation bug, not a hard instance."""
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    max_sweeps: int | None = None  # None: use the proven monotone bound
-    trace: bool = False
-
-
 @dataclass
 class ZhMetrics:
     outer_sweeps: int = 0
@@ -59,16 +52,22 @@ class ZhResult:
     answer: str  # YES | NO
     final_comp_ed: EdgeSet
     metrics: ZhMetrics
+    reach: list[EdgeSet] = field(default_factory=list)  # final reachable sets, by edge id
 
 
-@dataclass
-class TraceLog:
-    """Structured record of every reachable-set delta of a run."""
+def zh_solve(
+    g: MultistageGraph,
+    *,
+    max_sweeps: int | None = None,
+    trace: list[dict[str, Any]] | None = None,
+) -> ZhResult:
+    """Decide simple-path existence; YES iff the final contraction of the
+    sink's edge set is nonempty.
 
-    events: list[dict[str, Any]] = field(default_factory=list)
-
-
-def _run(g: MultistageGraph, opts: SolveOptions, trace: TraceLog | None):
+    ``max_sweeps`` caps the outer sweeps (default: the proven monotone
+    bound); exceeding it raises :class:`AbnormalTerminationError`.  Events
+    are appended to ``trace`` when it is given.
+    """
     started = time.perf_counter()
     report = validate(g)
     if not report.ok:
@@ -77,7 +76,7 @@ def _run(g: MultistageGraph, opts: SolveOptions, trace: TraceLog | None):
     r = init_all(g)
     if trace is not None:
         for eid, mask in enumerate(r.entries):
-            trace.events.append({"event": "r_init", "edge": eid, "value": edge_ids(mask)})
+            trace.append({"event": "r_init", "edge": eid, "value": edge_ids(mask)})
 
     esets = [m if m is not None else 0 for m in g._esets]
     caches = OperatorCaches(g, r, esets)
@@ -92,7 +91,8 @@ def _run(g: MultistageGraph, opts: SolveOptions, trace: TraceLog | None):
     limit_memo: dict[int, list] = {}
 
     sweep_bound = 1 + sum(m.bit_count() for m in entries)
-    max_sweeps = opts.max_sweeps if opts.max_sweeps is not None else sweep_bound
+    if max_sweeps is None:
+        max_sweeps = sweep_bound
     sweeps = 0
     while True:
         sweeps += 1
@@ -108,7 +108,7 @@ def _run(g: MultistageGraph, opts: SolveOptions, trace: TraceLog | None):
                 change(r, eid, g, esets, caches)
                 change_calls += 1
                 if trace is not None and entries[eid] != prev:
-                    trace.events.append(
+                    trace.append(
                         {
                             "event": "r_shrink",
                             "sweep": sweeps,
@@ -122,7 +122,7 @@ def _run(g: MultistageGraph, opts: SolveOptions, trace: TraceLog | None):
                 new = caches.comp_of(vi)
                 if new != esets[vi]:
                     if trace is not None:
-                        trace.events.append(
+                        trace.append(
                             {
                                 "event": "eset_shrink",
                                 "sweep": sweeps,
@@ -155,7 +155,7 @@ def _run(g: MultistageGraph, opts: SolveOptions, trace: TraceLog | None):
                     limit_memo[(eid, stage)] = [cur, contracted, new]
                     limit_ops += 1
                 if r.set_entry(eid, new) and trace is not None:
-                    trace.events.append(
+                    trace.append(
                         {
                             "event": "r_shrink",
                             "sweep": sweeps,
@@ -171,7 +171,6 @@ def _run(g: MultistageGraph, opts: SolveOptions, trace: TraceLog | None):
     metrics = ZhMetrics(
         outer_sweeps=sweeps,
         operator_calls={
-            "init_reachable": g.edge_count,
             "change": change_calls,
             "comp": caches.comp_runs,
             "comp_cache_hits": caches.comp_hits,
@@ -180,33 +179,15 @@ def _run(g: MultistageGraph, opts: SolveOptions, trace: TraceLog | None):
         edges_deleted=r.bits_deleted,
         wall_time=time.perf_counter() - started,
     )
-    result = ZhResult(answer=YES if final else NO, final_comp_ed=final, metrics=metrics)
-    return result, r
+    return ZhResult(
+        answer=YES if final else NO, final_comp_ed=final, metrics=metrics, reach=entries
+    )
 
 
-def zh_solve(g: MultistageGraph, opts: SolveOptions | None = None) -> ZhResult:
-    """Decide simple-path existence; YES iff the final contraction of the
-    sink's edge set is nonempty."""
-    result, _ = _run(g, opts or SolveOptions(), None)
-    return result
-
-
-def zh_solve_with_state(g: MultistageGraph, opts: SolveOptions | None = None):
-    """As :func:`zh_solve` but also returns the final reachable map."""
-    return _run(g, opts or SolveOptions(), None)
-
-
-def zh_trace(g: MultistageGraph, opts: SolveOptions | None = None):
-    """As :func:`zh_solve`, also emitting every reachable-set delta."""
-    trace = TraceLog()
-    result, _ = _run(g, opts or SolveOptions(trace=True), trace)
-    return result, trace
-
-
-def replay_trace(g: MultistageGraph, trace: TraceLog) -> list[EdgeSet]:
+def replay_trace(g: MultistageGraph, events: list[dict[str, Any]]) -> list[EdgeSet]:
     """Reconstruct final reachable sets from a trace's init and deletion events."""
     masks = [0] * g.edge_count
-    for ev in trace.events:
+    for ev in events:
         if ev["event"] == "r_init":
             masks[ev["edge"]] = sum(1 << i for i in ev["value"])
         elif ev["event"] == "r_shrink":

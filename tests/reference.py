@@ -100,6 +100,30 @@ def comp_ref(
             return working
 
 
+def comp_inplace_ref(
+    rg: RefGraph,
+    es: frozenset[Triple],
+    v: str,
+    reach: dict[Triple, frozenset[Triple]],
+    descending: bool = False,
+) -> frozenset[Triple]:
+    """``comp`` with each deletion applied as soon as it is found, sweeping
+    members in ascending (or descending) edge order instead of batching
+    deletions per sweep; for confluence checks against the batch operator."""
+    order = list(reversed(rg.edges)) if descending else rg.edges
+    working = frozenset(es)
+    while True:
+        before = working
+        for t in order:
+            if t not in working or t[1] == v:
+                continue
+            if not has_path(rg, t[1], v, reach[t] & working):
+                working = working - {t}
+        working = tidy_ref(rg, working, rg.source, v)
+        if working == before:
+            return working
+
+
 def change_ref(
     rg: RefGraph,
     reach: dict[Triple, frozenset[Triple]],

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from msplab.cli import EXIT_FILE, EXIT_FORMAT, EXIT_INVALID, EXIT_OK, main
+from msplab import lab
+from msplab.cli import EXIT_FILE, EXIT_FORMAT, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, main
+from msplab.model import AbnormalTerminationError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -142,6 +144,16 @@ def test_minimize_rejects_non_counterexample(capsys):
     status, _, err = run_cli(capsys, "minimize", str(FIXTURES / "chain_c.msp"))
     assert status == EXIT_INVALID
     assert "not a candidate counterexample" in err
+
+
+def test_minimize_abnormal_termination_exits_internal(capsys, monkeypatch):
+    def overrun(g, **kwargs):
+        raise AbnormalTerminationError("no fixpoint after 0 sweeps (bound 0)")
+
+    monkeypatch.setattr(lab, "zh_solve", overrun)
+    status, _, err = run_cli(capsys, "minimize", str(FIXTURES / "chain_c.msp"))
+    assert status == EXIT_INTERNAL
+    assert "no fixpoint" in err
 
 
 def test_bench_smoke(capsys):

@@ -12,18 +12,13 @@ from msplab.lab import (
     AGREE_YES,
     BUG_NECESSITY,
     CANDIDATE_COUNTEREXAMPLE,
-    EQUAL,
-    GREATER,
-    LESS,
     UNKNOWN,
     CampaignConfig,
     GenShape,
-    GraphVector,
     bench_scaling,
     classify,
     gen_msp,
     gen_ugraph,
-    lex_compare,
     minimize,
     run_differential,
     run_instance,
@@ -68,7 +63,7 @@ def test_generated_instances_validate_and_are_pruned():
                 continue
             assert g.in_edges(name) and g.out_edges(name)
         # pruning keeps in-degrees >= 1, so the complexity vector is non-negative
-        assert all(x >= 0 for x in vec_metric(g).components)
+        assert all(x >= 0 for x in vec_metric(g))
 
 
 def test_density_zero_means_no_everywhere():
@@ -137,7 +132,7 @@ def test_classify_table(zh, orc, kind):
 
 
 def test_vec_chain_is_zero(chain_c):
-    assert vec_metric(chain_c).components == (0, 0, 0)
+    assert vec_metric(chain_c) == (0, 0, 0)
 
 
 def test_vec_counts_extra_indegree():
@@ -148,21 +143,13 @@ def test_vec_counts_extra_indegree():
         CHAIN_EDGES + second,
         {"a": [], "c": [], "b": [], "D": []},
     )
-    assert vec_metric(g).components == (0, 1, 0)
+    assert vec_metric(g) == (0, 1, 0)
 
 
 def test_vec_of_reduced_triangle_stable():
     a = vec_metric(reduce_hc_to_msp(UndirectedGraph.from_pairs(3, [(1, 2), (1, 3), (2, 3)]))[0])
     b = vec_metric(reduce_hc_to_msp(UndirectedGraph.from_pairs(3, [(1, 2), (1, 3), (2, 3)]))[0])
-    assert a == b == GraphVector((0, 0, 0))
-
-
-def test_lex_compare_examples():
-    assert lex_compare(GraphVector((0, 1, 0)), GraphVector((1, 0, 0))) == LESS
-    assert lex_compare(GraphVector((1, 2)), GraphVector((1, 2))) == EQUAL
-    assert lex_compare(GraphVector((2, 0)), GraphVector((1, 9))) == GREATER
-    with pytest.raises(ValueError):
-        lex_compare(GraphVector((1,)), GraphVector((1, 2)))
+    assert a == b == (0, 0, 0)
 
 
 # -- minimizer -----------------------------------------------------------------
@@ -207,7 +194,7 @@ def test_minimizer_fixpoint_returns_input():
 def test_minimizer_never_increases_vec():
     g = _fan_graph()
     small = minimize(g, _two_stage2_edges, budget=4000)
-    assert lex_compare(vec_metric(small), vec_metric(g)) in (LESS, EQUAL)
+    assert vec_metric(small) <= vec_metric(g)
 
 
 def test_minimizer_rejects_false_predicate(chain_c):
@@ -383,8 +370,8 @@ def test_campaign_counterexample_path_is_archived_and_minimized(tmp_path, monkey
         small = parse_instance((folder / "minimized.msp").read_text())
         assert validate(small).ok
         assert oracle_simple_path(small).answer == "NO"
-        if len(vec_metric(small).components) == len(vec_metric(big).components):
-            assert lex_compare(vec_metric(small), vec_metric(big)) in (LESS, EQUAL)
+        if len(vec_metric(small)) == len(vec_metric(big)):
+            assert vec_metric(small) <= vec_metric(big)
 
 
 def test_bench_scaling_slope_is_polynomial():

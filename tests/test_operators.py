@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
-from msplab.model import edge_ids, edge_set, validate
+from msplab.model import AbnormalTerminationError, edge_ids, edge_set, validate
 from msplab.operators import (
     change,
     comp,
@@ -192,10 +195,14 @@ def test_comp_deletion_scheduling_is_confluent_here():
     divergences = []
     for seed in range(1000):
         g = random_graph(seed, stages=3 + seed % 3, max_width=2, edge_p=0.8)
+        rg = ref.RefGraph(g)
         r = init_all(g)
+        reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
         es = g.eset("D")
         results = {
-            comp(es, "D", r, g, scheduling=s) for s in ("batch", "inplace", "inplace_desc")
+            triples_of(g, comp(es, "D", r, g)),
+            ref.comp_inplace_ref(rg, triples_of(g, es), "D", reach),
+            ref.comp_inplace_ref(rg, triples_of(g, es), "D", reach, descending=True),
         }
         if len(results) != 1:
             divergences.append(seed)
@@ -260,8 +267,29 @@ def test_reachmap_versioning(chain_c):
 
 def test_reachmap_rejects_growth(chain_c):
     r = init_all(chain_c)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AbnormalTerminationError):
         r.set_entry(2, chain_c.full_mask)
+
+
+def test_reachmap_rejects_growth_under_optimization():
+    """The shrink-only rule is an explicit check, so ``python -O`` keeps it."""
+    script = (
+        "from msplab.model import AbnormalTerminationError, MultistageGraph\n"
+        "from msplab.operators import init_all\n"
+        "g = MultistageGraph(1, [('S', 0), ('D', 1)], [('S', 'D', 1)], {'D': []})\n"
+        "r = init_all(g)\n"
+        "try:\n"
+        "    r.set_entry(0, 1)\n"
+        "except AbnormalTerminationError:\n"
+        "    print('rejected')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "rejected"
 
 
 def test_operators_do_not_touch_the_graph(chain_c):

@@ -11,11 +11,8 @@ from msplab.zh import (
     YES,
     AbnormalTerminationError,
     InvalidGraphError,
-    SolveOptions,
     replay_trace,
     zh_solve,
-    zh_solve_with_state,
-    zh_trace,
 )
 
 from . import reference as ref
@@ -52,7 +49,7 @@ def test_invalid_graph_rejected():
 
 def test_max_sweeps_abnormal_termination(chain_c):
     with pytest.raises(AbnormalTerminationError):
-        zh_solve(chain_c, SolveOptions(max_sweeps=0))
+        zh_solve(chain_c, max_sweeps=0)
 
 
 def test_matches_reference_solver_on_random_instances():
@@ -99,23 +96,26 @@ def test_determinism_on_random_instances():
 
 
 def test_trace_chain_c_no_deletions(chain_c):
-    result, trace = zh_trace(chain_c)
+    trace = []
+    result = zh_solve(chain_c, trace=trace)
     assert result.answer == YES
-    assert [ev for ev in trace.events if ev["event"] == "r_shrink"] == []
+    assert [ev for ev in trace if ev["event"] == "r_shrink"] == []
 
 
 def test_trace_chain_cprime_empty_init(chain_cprime):
-    _, trace = zh_trace(chain_cprime)
-    inits = {ev["edge"]: ev["value"] for ev in trace.events if ev["event"] == "r_init"}
+    trace = []
+    zh_solve(chain_cprime, trace=trace)
+    inits = {ev["edge"]: ev["value"] for ev in trace if ev["event"] == "r_init"}
     assert inits[0] == []
 
 
 def test_trace_replay_reproduces_final_state():
     for seed in range(15):
         g = random_graph(seed, stages=4, max_width=3)
-        (result, state), (traced, trace) = zh_solve_with_state(g), zh_trace(g)
+        trace = []
+        result, traced = zh_solve(g), zh_solve(g, trace=trace)
         assert traced.answer == result.answer
-        assert replay_trace(g, trace) == state.entries
+        assert replay_trace(g, trace) == result.reach
 
 
 def test_solver_never_grows_state():
@@ -124,9 +124,9 @@ def test_solver_never_grows_state():
     for seed in range(10):
         g = random_graph(seed, stages=4, max_width=3)
         r0 = init_all(g).entries
-        _, state = zh_solve_with_state(g)
+        reach = zh_solve(g).reach
         for eid in range(g.edge_count):
-            assert state.entries[eid] & ~r0[eid] == 0
+            assert reach[eid] & ~r0[eid] == 0
 
 
 def test_zh_result_shape(chain_c):
