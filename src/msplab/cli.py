@@ -107,9 +107,12 @@ def _cmd_solve(args) -> int:
     trace = [] if args.trace else None
     result = zh_solve(g, trace=trace)
     if args.trace:
-        with Path(args.trace).open("w", encoding="utf-8") as fh:
-            for event in trace:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
+        try:
+            with Path(args.trace).open("w", encoding="utf-8") as fh:
+                for event in trace:
+                    fh.write(json.dumps(event, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise _CliFailure(EXIT_FILE, f"cannot write {args.trace}: {exc}") from exc
     size = result.final_comp_ed.bit_count()
     _emit(
         args,

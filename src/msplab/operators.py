@@ -2,9 +2,9 @@
 
 * ``tidy(es, u, v)`` restricts an edge set to the edges lying on at least one
   u -> v path whose edges all stay inside the set.
-* ``init_reachable`` / ``init_all`` seed the per-edge reachable sets: for an
-  edge e, the edges of every e.dst -> sink path along which both endpoints of
-  each visited edge carry e in their edge sets.
+* ``init_all`` seeds the per-edge reachable sets: for an edge e, the edges
+  of every e.dst -> sink path along which both endpoints of each visited
+  edge carry e in their edge sets.
 * ``comp`` contracts an edge set against the reachable sets until stable.
 * ``change`` contracts one reachable set against all the others until stable.
 
@@ -18,7 +18,8 @@ Two conventions the operator definitions leave open are pinned here:
   applies.
 
 Deletions inside each fixpoint sweep are collected and applied at sweep end
-(ascending edge-id order), so results do not depend on iteration order.  All
+(ascending edge-id order), so results do not depend on iteration order.
+``change`` writes its result back into the reachable map; the other
 operators are pure functions of their inputs.
 """
 
@@ -115,40 +116,22 @@ def tidy(es: EdgeSet, u, v, g: MultistageGraph) -> EdgeSet:
 
 
 def init_reachable(g: MultistageGraph, e: EdgeRef | int) -> EdgeSet:
-    """Initial reachable set of edge ``e``.
-
-    Collects the edges (of stage > 1) whose both endpoints carry ``e`` in
-    their edge sets, then tidies from e's head to the sink.
-    """
-    eid = e.id if isinstance(e, EdgeRef) else e
-    ebit = 1 << eid
-    esets = g._esets
-    efrom = g._efrom
-    eto = g._eto
-    collected = 0
-    for f in range(g._stage_end[1], g.edge_count):
-        ma = esets[efrom[f]]
-        mb = esets[eto[f]]
-        if ma is not None and mb is not None and (ma & mb & ebit):
-            collected |= 1 << f
-    sink = g._stage_vertices[g.stage_count][0]
-    return _tidy_idx(g, collected, eto[eid], sink)
+    """Initial reachable set of edge ``e``, as :func:`init_all` computes it."""
+    return init_all(g).get(e)
 
 
 class ReachMap:
     """Mutable map from each edge to its current reachable edge set.
 
-    Entries only ever shrink after initialization.  ``version`` increments on
-    every entry change; ``entry_versions`` tracks per-entry change counts so
-    callers can cheaply detect staleness.
+    Entries only ever shrink after initialization, so ``bits_deleted`` (the
+    bits removed so far) grows on every change and an entry that changed
+    never returns to an earlier value.
     """
 
-    __slots__ = ("entries", "entry_versions", "version", "bits_deleted")
+    __slots__ = ("entries", "bits_deleted")
 
     def __init__(self, entries: list[int]):
         self.entries = entries
-        self.entry_versions = [0] * len(entries)
-        self.version = 0
         self.bits_deleted = 0
 
     def get(self, e: EdgeRef | int) -> EdgeSet:
@@ -161,14 +144,16 @@ class ReachMap:
         if mask & ~old:
             raise AbnormalTerminationError(f"reachable set of edge {eid} would grow")
         self.entries[eid] = mask
-        self.entry_versions[eid] += 1
-        self.version += 1
         self.bits_deleted += (old & ~mask).bit_count()
         return True
 
 
 def init_all(g: MultistageGraph) -> ReachMap:
-    """Reachable set for every edge (batch form of :func:`init_reachable`)."""
+    """Reachable set of every edge.
+
+    For edge e: the edges (of stage > 1) whose both endpoints carry e in
+    their edge sets, tidied from e's head to the sink.
+    """
     m = g.edge_count
     esets = g._esets
     efrom = g._efrom
@@ -230,7 +215,6 @@ def change(
     r: ReachMap,
     e: EdgeRef | int,
     g: MultistageGraph,
-    esets: list[int] | None = None,
     caches: "OperatorCaches | None" = None,
 ) -> EdgeSet:
     """Contract the reachable set of edge ``e`` against all the others.
@@ -243,15 +227,13 @@ def change(
     tidied from e's head to the sink.  Repeats until stable and writes the
     result back into ``r``.
 
-    ``esets`` supplies the current per-vertex edge sets by vertex index
-    (defaults to the graph's own); ``caches`` shares contraction results
-    across calls within one solver run.
+    ``caches`` supplies the current per-vertex edge sets and shares
+    contraction results across calls within one solver run (defaults to
+    fresh caches over the graph's own edge sets).
     """
     eid = e.id if isinstance(e, EdgeRef) else e
-    if esets is None:
-        esets = [m if m is not None else 0 for m in g._esets]
     if caches is None:
-        caches = OperatorCaches(g, r, esets)
+        caches = OperatorCaches(g, r, [m if m is not None else 0 for m in g._esets])
     efrom = g._efrom
     eto = g._eto
     estage = g._estage
@@ -323,9 +305,10 @@ def change(
 class OperatorCaches:
     """Validated result caches shared across operator calls in one run.
 
-    Contraction results are invalidated by per-entry version counters of the
-    reachable map plus the edge-set masks they were computed from, so a cache
-    hit is always exact.
+    A cached result is reused only while the reachable-set entries and
+    edge-set masks it read are unchanged.  Entries only shrink and never
+    return to an earlier value, so comparing them by value makes every hit
+    exact.
     """
 
     __slots__ = ("graph", "r", "esets", "_comp", "_mid", "comp_runs", "comp_hits")
@@ -334,9 +317,9 @@ class OperatorCaches:
         self.graph = graph
         self.r = r
         self.esets = esets  # by vertex index; shared, caller-mutated
-        # (vi, es) -> [result, r.version snapshot, deps as list of (eid, ver)]
+        # (vi, es) -> [result, r.bits_deleted when last valid, [(eid, entry) for eid in es]]
         self._comp: dict[tuple[int, int], list] = {}
-        # (ec, bi) -> [tidied mask, entry version of ec, ceb mask]
+        # (ec, bi) -> [tidied mask, entry of ec, ceb mask]
         self._mid: dict[tuple[int, int], list] = {}
         self.comp_runs = 0
         self.comp_hits = 0
@@ -346,22 +329,22 @@ class OperatorCaches:
         key = (vi, es)
         hit = self._comp.get(key)
         if hit is not None:
-            if hit[1] == r.version:
+            if hit[1] == r.bits_deleted:
                 self.comp_hits += 1
                 return hit[0]
-            versions = r.entry_versions
-            for eid, ver in hit[2]:
-                if versions[eid] != ver:
+            entries = r.entries
+            for eid, mask in hit[2]:
+                if entries[eid] != mask:
                     break
             else:
-                hit[1] = r.version
+                hit[1] = r.bits_deleted
                 self.comp_hits += 1
                 return hit[0]
         result = comp(es, self.graph._vnames[vi], r, self.graph)
         self.comp_runs += 1
-        versions = r.entry_versions
-        deps = [(eid, versions[eid]) for eid in edge_ids(es)]
-        self._comp[key] = [result, r.version, deps]
+        entries = r.entries
+        deps = [(eid, entries[eid]) for eid in edge_ids(es)]
+        self._comp[key] = [result, r.bits_deleted, deps]
         return result
 
     def comp_of(self, vi: int) -> int:
@@ -369,13 +352,12 @@ class OperatorCaches:
 
     def mid_tidy(self, ec: int, bi: int, ceb: int) -> int:
         """tidy(R(ec) & ceb, head(ec), bi), cached."""
-        r = self.r
         key = (ec, bi)
         hit = self._mid.get(key)
-        ver = r.entry_versions[ec]
-        if hit is not None and hit[1] == ver and hit[2] == ceb:
+        entry = self.r.entries[ec]
+        if hit is not None and hit[1] == entry and hit[2] == ceb:
             return hit[0]
         g = self.graph
-        result = _tidy_idx(g, r.entries[ec] & ceb, g._eto[ec], bi)
-        self._mid[key] = [result, ver, ceb]
+        result = _tidy_idx(g, entry & ceb, g._eto[ec], bi)
+        self._mid[key] = [result, entry, ceb]
         return result

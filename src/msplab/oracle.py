@@ -14,7 +14,6 @@ witness, NO on exhaustion, or TIMEOUT.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 
@@ -41,10 +40,6 @@ class OracleResult:
     witness: tuple | None
     nodes_expanded: int
     budget_used: float  # seconds
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def verify_simple_path(g: MultistageGraph, path) -> bool:
@@ -87,9 +82,6 @@ def oracle_simple_path(
     if not report.ok:
         raise InvalidGraphError(report)
     budget = budget or SearchBudget()
-    needed = g.stage_count * 4 + 1000  # recursion tracks the path depth
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
     started = time.perf_counter()
     deadline = None if budget.max_seconds is None else started + budget.max_seconds
 
@@ -99,41 +91,38 @@ def oracle_simple_path(
     vnames = g._vnames
     last = g.stage_count
     expanded = 0
+    # Depth-first search with an explicit stack: path[i] is the stage-i vertex,
+    # prefixes[i] the edges leading to it, untried[i] its out-edges not yet tried.
     path = [g._stage_vertices[0][0]]
-
-    def extend(vi: int, prefix: int, stage: int) -> tuple | None:
-        nonlocal expanded
-        expanded += 1
-        if expanded > budget.max_nodes:
-            raise _BudgetExhausted
-        if deadline is not None and expanded % 1024 == 0 and time.perf_counter() > deadline:
-            raise _BudgetExhausted
-        if stage == last:
-            return tuple(vnames[i] for i in path)
-        m = out_mask[vi]
+    prefixes = [0]
+    untried: list[int] = []
+    while path:
+        if len(untried) < len(path):  # the newest vertex is not expanded yet
+            expanded += 1
+            if expanded > budget.max_nodes or (
+                deadline is not None and expanded % 1024 == 0 and time.perf_counter() > deadline
+            ):
+                return OracleResult(TIMEOUT, None, expanded, time.perf_counter() - started)
+            if len(path) - 1 == last:
+                witness = tuple(vnames[i] for i in path)
+                return OracleResult(YES, witness, expanded, time.perf_counter() - started)
+            untried.append(out_mask[path[-1]])
+        m = untried[-1]
+        prefix = prefixes[-1]
         while m:
             low = m & -m
-            eid = low.bit_length() - 1
             m ^= low
-            wi = eto[eid]
-            new_prefix = prefix | low
-            if new_prefix & ~esets[wi]:
-                continue
-            path.append(wi)
-            witness = extend(wi, new_prefix, stage + 1)
-            if witness is not None:
-                return witness
+            wi = eto[low.bit_length() - 1]
+            if not (prefix | low) & ~esets[wi]:
+                untried[-1] = m
+                path.append(wi)
+                prefixes.append(prefix | low)
+                break
+        else:
+            untried.pop()
             path.pop()
-        return None
-
-    try:
-        witness = extend(path[0], 0, 0)
-    except _BudgetExhausted:
-        return OracleResult(TIMEOUT, None, expanded, time.perf_counter() - started)
-    elapsed = time.perf_counter() - started
-    if witness is not None:
-        return OracleResult(YES, witness, expanded, elapsed)
-    return OracleResult(NO, None, expanded, elapsed)
+            prefixes.pop()
+    return OracleResult(NO, None, expanded, time.perf_counter() - started)
 
 
 def verify_hamilton_circuit(ug: UndirectedGraph, circuit) -> bool:
@@ -149,9 +138,6 @@ def verify_hamilton_circuit(ug: UndirectedGraph, circuit) -> bool:
 def oracle_hamilton(ug: UndirectedGraph, budget: SearchBudget | None = None) -> OracleResult:
     """Backtracking Hamilton-circuit search anchored at the lowest vertex."""
     budget = budget or SearchBudget()
-    needed = ug.n * 4 + 1000
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
     started = time.perf_counter()
     deadline = None if budget.max_seconds is None else started + budget.max_seconds
     expanded = 0
@@ -160,37 +146,32 @@ def oracle_hamilton(ug: UndirectedGraph, budget: SearchBudget | None = None) -> 
 
     adjacency = ug.adjacency()
     anchor = ug.vertices()[0]
+    # Backtracking with an explicit stack: untried[i] iterates the neighbours
+    # of path[i] not yet tried.
     path = [anchor]
     used = {anchor}
-
-    def extend(v: int) -> tuple | None:
-        nonlocal expanded
-        expanded += 1
-        if expanded > budget.max_nodes:
-            raise _BudgetExhausted
-        if deadline is not None and expanded % 1024 == 0 and time.perf_counter() > deadline:
-            raise _BudgetExhausted
-        if len(path) == ug.n:
-            if anchor in adjacency[v]:
-                return tuple(path) + (anchor,)
-            return None
-        for w in adjacency[v]:
-            if w in used:
-                continue
-            path.append(w)
-            used.add(w)
-            witness = extend(w)
-            if witness is not None:
-                return witness
-            path.pop()
-            used.discard(w)
-        return None
-
-    try:
-        witness = extend(anchor)
-    except _BudgetExhausted:
-        return OracleResult(TIMEOUT, None, expanded, time.perf_counter() - started)
-    elapsed = time.perf_counter() - started
-    if witness is not None:
-        return OracleResult(YES, witness, expanded, elapsed)
-    return OracleResult(NO, None, expanded, elapsed)
+    untried: list = []
+    while path:
+        if len(untried) < len(path):  # the newest vertex is not expanded yet
+            expanded += 1
+            if expanded > budget.max_nodes or (
+                deadline is not None and expanded % 1024 == 0 and time.perf_counter() > deadline
+            ):
+                return OracleResult(TIMEOUT, None, expanded, time.perf_counter() - started)
+            v = path[-1]
+            if len(path) == ug.n:
+                if anchor in adjacency[v]:
+                    witness = (*path, anchor)
+                    return OracleResult(YES, witness, expanded, time.perf_counter() - started)
+                untried.append(iter(()))
+            else:
+                untried.append(iter(adjacency[v]))
+        for w in untried[-1]:
+            if w not in used:
+                path.append(w)
+                used.add(w)
+                break
+        else:
+            untried.pop()
+            used.discard(path.pop())
+    return OracleResult(NO, None, expanded, time.perf_counter() - started)

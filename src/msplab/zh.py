@@ -87,8 +87,6 @@ def zh_solve(
     sink_idx = stage_vertices[g.stage_count][0]
     change_calls = 0
     limit_ops = 0
-    # limit-step memo: eid -> [entry mask, contracted-set tuple, result]
-    limit_memo: dict[int, list] = {}
 
     sweep_bound = 1 + sum(m.bit_count() for m in entries)
     if max_sweeps is None:
@@ -100,12 +98,12 @@ def zh_solve(
             raise AbnormalTerminationError(
                 f"no fixpoint after {sweeps - 1} sweeps (bound {max_sweeps})"
             )
-        version_before = r.version
+        deleted_before = r.bits_deleted
         for stage in range(1, stage_limit):
             # contract each stage edge's reachable set
             for eid in range(stage_end[stage - 1], stage_end[stage]):
                 prev = entries[eid]
-                change(r, eid, g, esets, caches)
+                change(r, eid, g, caches)
                 change_calls += 1
                 if trace is not None and entries[eid] != prev:
                     trace.append(
@@ -133,27 +131,17 @@ def zh_solve(
                         )
                     esets[vi] = new
             # re-limit every reachable set of stage <= current stage
-            contracted = tuple(caches.comp_of(vi) for vi in stage_vertices[stage])
-            contracted_version = r.version
             for eid in range(stage_end[stage]):
                 cur = entries[eid]
                 if not cur:
                     continue
-                if r.version != contracted_version:
-                    contracted = tuple(caches.comp_of(vi) for vi in stage_vertices[stage])
-                    contracted_version = r.version
-                memo = limit_memo.get((eid, stage))
-                if memo is not None and memo[0] == cur and memo[1] == contracted:
-                    new = memo[2]
-                else:
-                    union = 0
-                    bi = g._eto[eid]
-                    for pos, vi in enumerate(stage_vertices[stage]):
-                        union |= _tidy_idx(g, cur & contracted[pos], bi, vi)
-                    window = g.span_mask(g._estage[eid] + 1, stage)
-                    new = _tidy_idx(g, (cur & ~window) | (union & window), bi, sink_idx)
-                    limit_memo[(eid, stage)] = [cur, contracted, new]
-                    limit_ops += 1
+                union = 0
+                bi = g._eto[eid]
+                for vi in stage_vertices[stage]:
+                    union |= _tidy_idx(g, cur & caches.comp_of(vi), bi, vi)
+                window = g.span_mask(g._estage[eid] + 1, stage)
+                new = _tidy_idx(g, (cur & ~window) | (union & window), bi, sink_idx)
+                limit_ops += 1
                 if r.set_entry(eid, new) and trace is not None:
                     trace.append(
                         {
@@ -164,7 +152,7 @@ def zh_solve(
                             "removed": edge_ids(cur & ~new),
                         }
                     )
-        if r.version == version_before:
+        if r.bits_deleted == deleted_before:
             break
 
     final = caches.comp_of(sink_idx)  # stage-L edge sets are never touched above

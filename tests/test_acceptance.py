@@ -51,13 +51,13 @@ def _sweep_reduction(args):
     ham = oracle_hamilton(ug).answer
     reduced, _ = reduce_hc_to_msp(ug)
     msp = oracle_simple_path(reduced).answer
-    zh = zh_solve(reduced).answer if msp == "YES" else None
+    zh = zh_solve(reduced).answer
     return n, bits, ham, msp, zh
 
 
 @pytest.fixture(scope="session")
 def exhaustive_reductions():
-    """(ham, msp-oracle, zh-when-oracle-yes) for every graph of order 3..6."""
+    """(n, bits, ham, msp-oracle, zh) for every graph of order 3..6."""
     tasks = []
     for n in (3, 4, 5, 6):
         tasks.extend((n, bits) for bits in range(1 << (n * (n - 1) // 2)))
@@ -100,6 +100,16 @@ def test_criterion_2_reduction_equivalence(exhaustive_reductions):
             if ham != msp
         ]
         assert mismatches == [], f"{len(mismatches)} mismatches: {mismatches[:5]}"
+        # the solver's verdict on a reduction must match in both directions
+        disagreements = [
+            (n, bits, msp, zh)
+            for n, bits, _, msp, zh in exhaustive_reductions
+            if n >= 4 and zh != msp
+        ]
+        assert disagreements == [], (
+            f"zh disagrees with the oracle on {len(disagreements)} reductions: "
+            f"{disagreements[:5]}"
+        )
         assert len(exhaustive_reductions) == 8 + 64 + 1024 + 32768
 
 

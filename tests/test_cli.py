@@ -50,6 +50,16 @@ def test_solve_trace_written(capsys, tmp_path):
     assert {"event": "r_init", "edge": 0, "value": []} in events
 
 
+def test_solve_trace_unwritable_exits_file_error(capsys, tmp_path):
+    trace_path = tmp_path / "missing-dir" / "trace.jsonl"
+    status, out, err = run_cli(
+        capsys, "solve", "--trace", str(trace_path), str(FIXTURES / "chain_c.msp")
+    )
+    assert status == EXIT_FILE
+    assert out == ""
+    assert f"cannot write {trace_path}" in err
+
+
 def test_oracle_reports_witness(capsys):
     status, out, _ = run_cli(capsys, "oracle", "--machine", str(FIXTURES / "chain_c.msp"))
     assert status == EXIT_OK

@@ -7,6 +7,7 @@ import pytest
 
 from msplab.model import AbnormalTerminationError, edge_ids, edge_set, validate
 from msplab.operators import (
+    OperatorCaches,
     change,
     comp,
     init_all,
@@ -252,17 +253,65 @@ def test_change_result_within_prior_entry():
             assert change(r, eid, g) & ~prior == 0
 
 
+# -- operator caches -------------------------------------------------------
+
+
+def test_operator_caches_stay_exact_as_entries_shrink():
+    """Cached comp and mid-tidy results always equal fresh ones while
+    reachable-set entries shrink, whether or not the cached call read them."""
+    import random
+
+    hits = changed = 0
+    for seed in range(40):
+        g = random_graph(seed, stages=3 + seed % 3, eset_p=0.9)
+        if not g.full_mask:
+            continue
+        rnd = random.Random(3000 + seed)
+        r = init_all(g)
+        names = g.vertex_names()
+        caches = OperatorCaches(g, r, [0] * len(names))
+        vis = range(1, len(names))
+        comp_queries = [(g.full_mask, vi) for vi in vis] + [(g.eset(names[vi]), vi) for vi in vis]
+        read = 0  # edges whose entries the edge-set queries read
+        for vi in vis:
+            read |= g.eset(names[vi])
+        mid_queries = [
+            (ec, rnd.randrange(1, len(names)), ceb)
+            for ec in range(g.edge_count)
+            for ceb in (g.full_mask, rnd.randrange(g.full_mask + 1))
+        ]
+        last = None
+        for step in range(12):
+            seen = []
+            for es, vi in comp_queries:
+                seen.append(caches.comp_value(es, vi))
+                assert seen[-1] == comp(es, names[vi], r, g), (seed, step)
+            for ec, bi, ceb in mid_queries:
+                seen.append(caches.mid_tidy(ec, bi, ceb))
+                want = tidy(r.get(ec) & ceb, g.edge(ec).dst.name, names[bi], g)
+                assert seen[-1] == want, (seed, step)
+            changed += last is not None and seen != last
+            last = seen
+            # shrink entries, alternating between edges the edge-set queries
+            # read and the rest
+            for eid in edge_ids(read if step % 2 else g.full_mask & ~read):
+                keep = rnd.randrange(g.full_mask + 1)
+                r.set_entry(eid, r.get(eid) & (keep | keep >> 1))
+        hits += caches.comp_hits
+    assert hits > 0 and changed > 0
+
+
 # -- reach map -------------------------------------------------------------
 
 
-def test_reachmap_versioning(chain_c):
+def test_reachmap_bits_deleted_stamps_changes(chain_c):
     r = init_all(chain_c)
-    v0 = r.version
+    assert r.bits_deleted == 0
     assert not r.set_entry(0, r.get(0))
-    assert r.version == v0
+    assert r.bits_deleted == 0
+    removed = r.get(0).bit_count()
     assert r.set_entry(0, 0)
-    assert r.version == v0 + 1
-    assert r.entry_versions[0] == 1
+    assert r.bits_deleted == removed == 2
 
 
 def test_reachmap_rejects_growth(chain_c):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from msplab.oracle import (
@@ -138,3 +140,25 @@ def test_hamilton_timeout():
         8, [(a, b) for a in range(1, 9) for b in range(a + 1, 9)]
     )
     assert oracle_hamilton(k8, SearchBudget(max_nodes=3)).answer == TIMEOUT
+
+
+def test_long_searches_leave_the_recursion_limit_alone():
+    """Both searches keep their stack on the heap: a 2,000-deep search needs
+    no process-wide recursion limit change."""
+    stages = 2000
+    names = ["S"] + [f"v{k}" for k in range(1, stages)] + ["D"]
+    chain = mk_graph(
+        stages,
+        [(name, k) for k, name in enumerate(names)],
+        [(names[k - 1], names[k], k) for k in range(1, stages + 1)],
+        {},
+    ).replace_esets({name: (1 << k) - 1 for k, name in enumerate(names) if k})
+    cycle = UndirectedGraph.from_pairs(stages, [(k, k % stages + 1) for k in range(1, stages + 1)])
+    limit = sys.getrecursionlimit()
+    path = oracle_simple_path(chain)
+    assert (path.answer, path.witness, path.nodes_expanded) == (YES, tuple(names), stages + 1)
+    circuit = oracle_hamilton(cycle)
+    assert circuit.answer == YES
+    assert circuit.witness == (*range(1, stages + 1), 1)
+    assert circuit.nodes_expanded == stages
+    assert sys.getrecursionlimit() == limit
