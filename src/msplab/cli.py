@@ -107,12 +107,7 @@ def _cmd_solve(args) -> int:
     trace = [] if args.trace else None
     result = zh_solve(g, trace=trace)
     if args.trace:
-        try:
-            with Path(args.trace).open("w", encoding="utf-8") as fh:
-                for event in trace:
-                    fh.write(json.dumps(event, sort_keys=True) + "\n")
-        except OSError as exc:
-            raise _CliFailure(EXIT_FILE, f"cannot write {args.trace}: {exc}") from exc
+        _write_text(args.trace, "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace))
     size = result.final_comp_ed.bit_count()
     _emit(
         args,
@@ -242,7 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the staged fixpoint solver on an instance")
     p.add_argument("instance", help="instance file, or - for stdin")
     p.add_argument("--machine", action="store_true")
-    p.add_argument("--trace", metavar="PATH", help="write per-deletion records as JSON lines")
+    p.add_argument(
+        "--trace", metavar="PATH", help="write per-deletion records as JSON lines (- for stdout)"
+    )
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="exact search for a simple path")

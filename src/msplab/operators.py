@@ -6,6 +6,9 @@
   of every e.dst -> sink path along which both endpoints of each visited
   edge carry e in their edge sets.
 * ``comp`` contracts an edge set against the reachable sets until stable.
+  Each sweep tests every member at once in one backward pass from the
+  target over the transposed map ``ReachMap.holders``, with the members as
+  bit lanes (multi-source traversal after Then et al., PVLDB 8(4), 2014).
 * ``change`` contracts one reachable set against all the others until stable.
 
 Two conventions the operator definitions leave open are pinned here:
@@ -97,15 +100,6 @@ def _tidy_idx(g: MultistageGraph, es: int, ui: int, vi: int) -> int:
     return es & out_acc & in_acc
 
 
-def _reaches_idx(g: MultistageGraph, es: int, ui: int, vi: int) -> bool:
-    if ui == vi:
-        return True
-    if not es or g._vstage[ui] >= g._vstage[vi]:
-        return False
-    fwd, _ = _forward_reach(g, es, ui, g._vstage[vi])
-    return bool((fwd >> vi) & 1)
-
-
 def tidy(es: EdgeSet, u, v, g: MultistageGraph) -> EdgeSet:
     """Edges of ``es`` on at least one u -> v path contained in ``es``.
 
@@ -123,15 +117,26 @@ def init_reachable(g: MultistageGraph, e: EdgeRef | int) -> EdgeSet:
 class ReachMap:
     """Mutable map from each edge to its current reachable edge set.
 
-    Entries only ever shrink after initialization, so ``bits_deleted`` (the
-    bits removed so far) grows on every change and an entry that changed
-    never returns to an earlier value.
+    ``entries[e]`` is the reachable set of edge e and ``holders[f]`` its
+    transpose: the edges whose reachable set contains f.  Entries only ever
+    shrink after initialization, so ``bits_deleted`` (the bits removed so
+    far) grows on every change, an entry that changed never returns to an
+    earlier value, and keeping ``holders`` current costs at most the size of
+    the initial map over a whole run.
     """
 
-    __slots__ = ("entries", "bits_deleted")
+    __slots__ = ("entries", "holders", "bits_deleted")
 
     def __init__(self, entries: list[int]):
         self.entries = entries
+        holders = [0] * len(entries)
+        for eid, mask in enumerate(entries):
+            ebit = 1 << eid
+            while mask:
+                low = mask & -mask
+                holders[low.bit_length() - 1] |= ebit
+                mask ^= low
+        self.holders = holders
         self.bits_deleted = 0
 
     def get(self, e: EdgeRef | int) -> EdgeSet:
@@ -144,7 +149,14 @@ class ReachMap:
         if mask & ~old:
             raise AbnormalTerminationError(f"reachable set of edge {eid} would grow")
         self.entries[eid] = mask
-        self.bits_deleted += (old & ~mask).bit_count()
+        removed = old & ~mask
+        self.bits_deleted += removed.bit_count()
+        holders = self.holders
+        ebit = 1 << eid
+        while removed:
+            low = removed & -removed
+            holders[low.bit_length() - 1] ^= ebit
+            removed ^= low
         return True
 
 
@@ -185,8 +197,13 @@ def comp(es: EdgeSet, v, r: ReachMap, g: MultistageGraph) -> EdgeSet:
     """
     vi = _vertex_index(g, v)
     src = g._stage_vertices[0][0]
-    entries = r.entries
+    holders = r.holders
     eto = g._eto
+    in_mask = g._in_mask
+    out_mask = g._out_mask
+    stage_vertices = g._stage_vertices
+    stages_back = range(g._vstage[vi] - 1, 0, -1)
+    nv = len(g._vstage)
     working = es
     bound = es.bit_count() + 1
     sweeps = 0
@@ -195,15 +212,23 @@ def comp(es: EdgeSet, v, r: ReachMap, g: MultistageGraph) -> EdgeSet:
         if sweeps > bound:
             raise AbnormalTerminationError(f"comp exceeded {bound} sweeps")
         before = working
-        dels = 0
-        m = working
-        while m:
-            low = m & -m
-            eid = low.bit_length() - 1
-            m ^= low
-            if eto[eid] != vi and not _reaches_idx(g, entries[eid] & working, eto[eid], vi):
-                dels |= low
-        working &= ~dels
+        # val[x]: the members whose reachable set, cut down to the working
+        # set, carries a path from x to v; one backward pass over all members
+        val = [0] * nv
+        val[vi] = working
+        alive = working & in_mask[vi]  # members ending at v are exempt
+        for k in stages_back:
+            for xi in stage_vertices[k]:
+                acc = 0
+                m = working & out_mask[xi]
+                while m:
+                    low = m & -m
+                    f = low.bit_length() - 1
+                    m ^= low
+                    acc |= holders[f] & val[eto[f]]
+                val[xi] = acc
+                alive |= acc & in_mask[xi]
+        working &= alive
         working = _tidy_idx(g, working, src, vi)
         if working == before:
             if working & ~es:

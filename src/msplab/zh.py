@@ -140,8 +140,10 @@ def zh_solve(
                 for vi in stage_vertices[stage]:
                     union |= _tidy_idx(g, cur & caches.comp_of(vi), bi, vi)
                 window = g.span_mask(g._estage[eid] + 1, stage)
-                new = _tidy_idx(g, (cur & ~window) | (union & window), bi, sink_idx)
                 limit_ops += 1
+                if not cur & window & ~union:
+                    continue  # union covers cur's window, and cur is already tidy
+                new = _tidy_idx(g, (cur & ~window) | (union & window), bi, sink_idx)
                 if r.set_entry(eid, new) and trace is not None:
                     trace.append(
                         {

@@ -60,6 +60,17 @@ def test_solve_trace_unwritable_exits_file_error(capsys, tmp_path):
     assert f"cannot write {trace_path}" in err
 
 
+def test_solve_trace_dash_goes_to_stdout(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    status, out, _ = run_cli(capsys, "solve", "--trace", "-", str(FIXTURES / "chain_cprime.msp"))
+    assert status == EXIT_OK
+    lines = out.splitlines()
+    events = [json.loads(line) for line in lines[:-2]]
+    assert {"event": "r_init", "edge": 0, "value": []} in events
+    assert lines[-2:] == ["NO", "final set size: 0"]
+    assert not (tmp_path / "-").exists()
+
+
 def test_oracle_reports_witness(capsys):
     status, out, _ = run_cli(capsys, "oracle", "--machine", str(FIXTURES / "chain_c.msp"))
     assert status == EXIT_OK

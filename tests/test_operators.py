@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from msplab.lab import gen_ugraph
 from msplab.model import AbnormalTerminationError, edge_ids, edge_set, validate
 from msplab.operators import (
     OperatorCaches,
@@ -14,6 +15,7 @@ from msplab.operators import (
     init_reachable,
     tidy,
 )
+from msplab.reduction import reduce_hc_to_msp
 
 from . import reference as ref
 from .conftest import CHAIN_EDGES, CHAIN_VERTICES, E1, E2, E3, mk_graph, random_graph
@@ -172,6 +174,49 @@ def test_comp_matches_reference_on_random_graphs():
             got = comp(es, name, r, g)
             want = ref.comp_ref(rg, triples_of(g, es), name, reach)
             assert triples_of(g, got) == want, (seed, name, edge_ids(es))
+
+
+def transpose(entries):
+    holders = [0] * len(entries)
+    for eid, mask in enumerate(entries):
+        for f in edge_ids(mask):
+            holders[f] |= 1 << eid
+    return holders
+
+
+def test_comp_matches_reference_as_entries_shrink():
+    """``comp`` reads ``ReachMap.holders``, which ``set_entry`` keeps the
+    transpose of the entries.  Shrink every entry a few bits at a time until
+    the map is empty; the transpose and ``comp`` must stay exact throughout,
+    also on Hamilton-circuit reductions, whose many stages make long
+    backward passes."""
+    import random
+
+    graphs = [random_graph(seed, stages=3 + seed % 5, max_width=4) for seed in range(40)]
+    graphs += [reduce_hc_to_msp(gen_ugraph(5, 0.6, seed))[0] for seed in range(6)]
+    checked = 0
+    for gi, g in enumerate(graphs):
+        rg = ref.RefGraph(g)
+        rnd = random.Random(4000 + gi)
+        r = init_all(g)
+        targets = g.vertex_names()[1:]
+        while True:
+            assert r.holders == transpose(r.entries), gi
+            reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
+            for name in rnd.sample(targets, min(3, len(targets))):
+                es = g.eset(name) if rnd.random() < 0.5 else g.full_mask
+                got = comp(es, name, r, g)
+                want = ref.comp_ref(rg, triples_of(g, es), name, reach)
+                assert triples_of(g, got) == want, (gi, name, edge_ids(es))
+                checked += bool(got)
+            held = [eid for eid, m in enumerate(r.entries) if m]
+            if not held:
+                break
+            eid = rnd.choice(held)
+            bits = edge_ids(r.get(eid))
+            drop = edge_set(rnd.sample(bits, min(len(bits), rnd.randint(1, 3))))
+            assert r.set_entry(eid, r.get(eid) & ~drop)
+    assert checked > 100
 
 
 def test_comp_contraction_idempotence_and_bound():
