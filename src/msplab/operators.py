@@ -10,6 +10,11 @@
   target over the transposed map ``ReachMap.holders``, with the members as
   bit lanes (multi-source traversal after Then et al., PVLDB 8(4), 2014).
 * ``change`` contracts one reachable set against all the others until stable.
+  Its anchors come from lane tables: for a target vertex b and edge set es,
+  one forward and one backward pass over ``holders`` with every edge ec as
+  a bit lane give tidy(R(ec) & es, head(ec), b) for all ec at once.
+  ``OperatorCaches.mid_tidy`` keeps one pair of tables per target, which
+  the solver's re-limit step reads too.
 
 Two conventions the operator definitions leave open are pinned here:
 
@@ -98,6 +103,47 @@ def _tidy_idx(g: MultistageGraph, es: int, ui: int, vi: int) -> int:
         return 0
     _, in_acc = _backward_reach(g, es, vi, su)
     return es & out_acc & in_acc
+
+
+def _forward_lanes(g: MultistageGraph, holders: list[int], es: int, vi: int) -> list[int]:
+    """fwd[x] for the vertices x of stages 1 .. stage(vi)-1: the lanes ec
+    (one per edge) whose head reaches x along edges of R(ec) & es."""
+    efrom = g._efrom
+    in_mask = g._in_mask
+    stage_vertices = g._stage_vertices
+    fwd = [0] * len(g._vstage)
+    for k in range(1, g._vstage[vi]):
+        for xi in stage_vertices[k]:
+            acc = in_mask[xi]  # lanes whose head is x
+            m = es & acc
+            while m:
+                low = m & -m
+                f = low.bit_length() - 1
+                m ^= low
+                acc |= holders[f] & fwd[efrom[f]]
+            fwd[xi] = acc
+    return fwd
+
+
+def _backward_lanes(g: MultistageGraph, holders: list[int], es: int, vi: int) -> list[int]:
+    """back[x] for the vertices x of stages 1 .. stage(vi)-1: the lanes ec
+    for which x reaches ``vi`` along edges of R(ec) & es (all lanes at vi)."""
+    eto = g._eto
+    out_mask = g._out_mask
+    stage_vertices = g._stage_vertices
+    back = [0] * len(g._vstage)
+    back[vi] = -1
+    for k in range(g._vstage[vi] - 1, 0, -1):
+        for xi in stage_vertices[k]:
+            acc = 0
+            m = es & out_mask[xi]
+            while m:
+                low = m & -m
+                f = low.bit_length() - 1
+                m ^= low
+                acc |= holders[f] & back[eto[f]]
+            back[xi] = acc
+    return back
 
 
 def tidy(es: EdgeSet, u, v, g: MultistageGraph) -> EdgeSet:
@@ -253,31 +299,29 @@ def change(
     result back into ``r``.
 
     ``caches`` supplies the current per-vertex edge sets and shares
-    contraction results across calls within one solver run (defaults to
-    fresh caches over the graph's own edge sets).
+    contraction results and lane tables across calls within one solver run
+    (defaults to fresh caches over the graph's own edge sets).
     """
     eid = e.id if isinstance(e, EdgeRef) else e
     if caches is None:
         caches = OperatorCaches(g, r, [m if m is not None else 0 for m in g._esets])
     efrom = g._efrom
     eto = g._eto
-    estage = g._estage
-    entries = r.entries
-    stage = estage[eid]
+    holders = r.holders
+    stage = g._estage[eid]
     ui = efrom[eid]
     vi = eto[eid]
     sink = g._stage_vertices[g.stage_count][0]
-    src = g._stage_vertices[0][0]
 
-    cur = entries[eid]
+    cur = r.entries[eid]
     if stage <= 1:
         r.set_entry(eid, _tidy_idx(g, cur, vi, sink))
-        return entries[eid]
+        return r.entries[eid]
 
     bound = cur.bit_count() + 1
     sweeps = 0
-    earlier_lo = 0
-    earlier_hi = g._stage_end[stage - 1]  # edge ids with stage < stage
+    lanes_hi = g._stage_end[stage - 1]  # the anchors: edge ids with stage < stage
+    earlier = (1 << lanes_hi) - 1
     ebit = 1 << eid
     while True:
         sweeps += 1
@@ -296,29 +340,20 @@ def change(
             dels = 0
             for bi in sorted(per_b):
                 ceb = caches.comp_of(bi)
-                anchored = []  # (ec bit, tidied mask) for earlier edges carrying e
+                # anchors ec with e in tidy(R(ec) & ceb, head(ec), bi)
+                anchored = 0
                 if ceb & ebit:
-                    for ec in range(earlier_lo, earlier_hi):
-                        if not (entries[ec] & ebit):
-                            continue
-                        mec = caches.mid_tidy(ec, bi, ceb)
-                        if mec & ebit:
-                            anchored.append((1 << ec, mec))
+                    fwd, back = caches.mid_tidy(bi, ceb, lanes_hi)
+                    anchored = holders[eid] & earlier & fwd[ui] & back[vi]
                 if not anchored:
                     for kid in per_b[bi]:
                         dels |= 1 << kid
                     continue
                 for kid in per_b[bi]:
                     kbit = 1 << kid
-                    t_mask = 0
-                    for ec_bit, mec in anchored:
-                        if mec & kbit:
-                            t_mask |= ec_bit
-                    if not t_mask:
-                        dels |= kbit
-                        continue
-                    guard = caches.comp_value(_tidy_idx(g, t_mask, src, ui), ui)
-                    if not guard:
+                    # T: the anchors whose tidied set also holds the member
+                    t_mask = anchored & holders[kid] & fwd[efrom[kid]] if ceb & kbit else 0
+                    if not t_mask or not caches.comp_value(caches.source_tidy(t_mask, ui), ui):
                         dels |= kbit
             cur &= ~dels
         cur = _tidy_idx(g, cur, vi, sink)
@@ -330,13 +365,14 @@ def change(
 class OperatorCaches:
     """Validated result caches shared across operator calls in one run.
 
-    A cached result is reused only while the reachable-set entries and
-    edge-set masks it read are unchanged.  Entries only shrink and never
-    return to an earlier value, so comparing them by value makes every hit
-    exact.
+    A cached ``comp`` result or lane table is reused only while the
+    reachable-set entries and edge-set masks it read are unchanged.  Entries
+    only shrink and never return to an earlier value, so comparing them by
+    value makes every hit exact.  Source tidies of anchor sets depend on the
+    graph alone and are memoized outright.
     """
 
-    __slots__ = ("graph", "r", "esets", "_comp", "_mid", "comp_runs", "comp_hits")
+    __slots__ = ("graph", "r", "esets", "_comp", "_lanes", "_source_tidy", "comp_runs", "comp_hits")
 
     def __init__(self, graph: MultistageGraph, r: ReachMap, esets: list[int]):
         self.graph = graph
@@ -344,8 +380,10 @@ class OperatorCaches:
         self.esets = esets  # by vertex index; shared, caller-mutated
         # (vi, es) -> [result, r.bits_deleted when last valid, [(eid, entry) for eid in es]]
         self._comp: dict[tuple[int, int], list] = {}
-        # (ec, bi) -> [tidied mask, entry of ec, ceb mask]
-        self._mid: dict[tuple[int, int], list] = {}
+        # bi -> [(fwd, back), es, r.bits_deleted when built, entries[:hi] when built]
+        self._lanes: dict[int, list] = {}
+        # (vi, es) -> tidy(es, source, vi)
+        self._source_tidy: dict[tuple[int, int], int] = {}
         self.comp_runs = 0
         self.comp_hits = 0
 
@@ -368,21 +406,40 @@ class OperatorCaches:
         result = comp(es, self.graph._vnames[vi], r, self.graph)
         self.comp_runs += 1
         entries = r.entries
-        deps = [(eid, entries[eid]) for eid in edge_ids(es)]
-        self._comp[key] = [result, r.bits_deleted, deps]
+        ids = edge_ids(es) if hit is None else [eid for eid, _ in hit[2]]
+        self._comp[key] = [result, r.bits_deleted, [(eid, entries[eid]) for eid in ids]]
         return result
 
     def comp_of(self, vi: int) -> int:
         return self.comp_value(self.esets[vi], vi)
 
-    def mid_tidy(self, ec: int, bi: int, ceb: int) -> int:
-        """tidy(R(ec) & ceb, head(ec), bi), cached."""
-        key = (ec, bi)
-        hit = self._mid.get(key)
-        entry = self.r.entries[ec]
-        if hit is not None and hit[1] == entry and hit[2] == ceb:
-            return hit[0]
+    def mid_tidy(self, bi: int, es: int, hi: int) -> tuple[list[int], list[int]]:
+        """Lane tables ``(fwd, back)`` of ``es`` towards vertex ``bi``, exact
+        for the lanes (edge ids) below ``hi``.
+
+        Lane ec walks R(ec) & es: f is in tidy(R(ec) & es, head(ec), bi) iff
+        f is in es and bit ec is in holders[f] & fwd[efrom[f]] & back[eto[f]].
+        One pair is kept per ``bi``; a lane reads only its own entry, so the
+        pair stays exact while ``es`` and the entries below ``hi`` do.
+        """
+        r = self.r
+        hit = self._lanes.get(bi)
+        if hit is not None and hit[1] == es:
+            if hit[2] == r.bits_deleted:
+                return hit[0]
+            seen = hit[3]
+            if hi <= len(seen) and r.entries[:hi] == seen[:hi]:
+                return hit[0]
         g = self.graph
-        result = _tidy_idx(g, entry & ceb, g._eto[ec], bi)
-        self._mid[key] = [result, entry, ceb]
+        tables = (_forward_lanes(g, r.holders, es, bi), _backward_lanes(g, r.holders, es, bi))
+        self._lanes[bi] = [tables, es, r.bits_deleted, r.entries[:hi]]
+        return tables
+
+    def source_tidy(self, es: int, vi: int) -> int:
+        """tidy(es, source, vi), memoized."""
+        key = (vi, es)
+        result = self._source_tidy.get(key)
+        if result is None:
+            g = self.graph
+            result = self._source_tidy[key] = _tidy_idx(g, es, g._stage_vertices[0][0], vi)
         return result

@@ -130,30 +130,44 @@ def zh_solve(
                             }
                         )
                     esets[vi] = new
-            # re-limit every reachable set of stage <= current stage
+            # re-limit every reachable set of stage <= current stage; the
+            # lane tables are rebuilt only when a shrink changed some comp(v)
+            comps = None
+            stale = True
             for eid in range(stage_end[stage]):
                 cur = entries[eid]
                 if not cur:
                     continue
-                union = 0
-                bi = g._eto[eid]
-                for vi in stage_vertices[stage]:
-                    union |= _tidy_idx(g, cur & caches.comp_of(vi), bi, vi)
-                window = g.span_mask(g._estage[eid] + 1, stage)
                 limit_ops += 1
-                if not cur & window & ~union:
-                    continue  # union covers cur's window, and cur is already tidy
-                new = _tidy_idx(g, (cur & ~window) | (union & window), bi, sink_idx)
-                if r.set_entry(eid, new) and trace is not None:
-                    trace.append(
-                        {
-                            "event": "r_shrink",
-                            "sweep": sweeps,
-                            "stage": stage,
-                            "edge": eid,
-                            "removed": edge_ids(cur & ~new),
-                        }
-                    )
+                if stale:
+                    stale = False
+                    now = [caches.comp_of(vi) for vi in stage_vertices[stage]]
+                    if now != comps:
+                        comps = now
+                        keep, losers = limit_tables(caches, stage, comps)
+                if not losers >> eid & 1:
+                    continue  # the union covers cur's window, and cur is already tidy
+                window = g.span_mask(g._estage[eid] + 1, stage)
+                kept = cur & ~window
+                m = cur & window
+                while m:
+                    low = m & -m
+                    m ^= low
+                    if keep[low.bit_length() - 1] >> eid & 1:
+                        kept |= low
+                new = _tidy_idx(g, kept, g._eto[eid], sink_idx)
+                if r.set_entry(eid, new):
+                    stale = True
+                    if trace is not None:
+                        trace.append(
+                            {
+                                "event": "r_shrink",
+                                "sweep": sweeps,
+                                "stage": stage,
+                                "edge": eid,
+                                "removed": edge_ids(cur & ~new),
+                            }
+                        )
         if r.bits_deleted == deleted_before:
             break
 
@@ -172,6 +186,37 @@ def zh_solve(
     return ZhResult(
         answer=YES if final else NO, final_comp_ed=final, metrics=metrics, reach=entries
     )
+
+
+def limit_tables(caches: OperatorCaches, stage: int, comps: list[int]) -> tuple[list[int], int]:
+    """Lane tables of the re-limit step at ``stage``.
+
+    ``comps`` holds comp(v) for the stage's vertices v, in order.  For every
+    edge f of stage <= ``stage``, ``keep[f]`` is the set of lanes ec with f in
+    the union over v of tidy(R(ec) & comp(v), head(ec), v), given f in
+    R(ec).  ``losers`` is the set of edges ec of earlier stages for which
+    that union misses some member of R(ec) up to ``stage``.  Edges of
+    ``stage`` itself have an empty window and never lose.
+    """
+    g = caches.graph
+    efrom = g._efrom
+    eto = g._eto
+    lanes_hi = g._stage_end[stage - 1]
+    top = g._stage_end[stage]
+    keep = [0] * top
+    for vi, ceb in zip(g._stage_vertices[stage], comps):
+        fwd, back = caches.mid_tidy(vi, ceb, lanes_hi)
+        m = ceb
+        while m:
+            low = m & -m
+            f = low.bit_length() - 1
+            m ^= low
+            keep[f] |= fwd[efrom[f]] & back[eto[f]]
+    holders = caches.r.holders
+    losers = 0
+    for f in range(g._stage_end[1], top):
+        losers |= holders[f] & ~keep[f]
+    return keep, losers & ((1 << lanes_hi) - 1)
 
 
 def replay_trace(g: MultistageGraph, events: list[dict[str, Any]]) -> list[EdgeSet]:

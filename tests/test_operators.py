@@ -301,12 +301,24 @@ def test_change_result_within_prior_entry():
 # -- operator caches -------------------------------------------------------
 
 
+def lane_tidy(g, r, tables, es, ec):
+    """tidy(R(ec) & es, head(ec), bi), read back from the lane tables that
+    ``OperatorCaches.mid_tidy(bi, es, hi)`` returned."""
+    fwd, back = tables
+    vidx = {name: i for i, name in enumerate(g.vertex_names())}
+    return edge_set(
+        f
+        for f in edge_ids(es)
+        if (r.holders[f] & fwd[vidx[g.edge(f).src.name]] & back[vidx[g.edge(f).dst.name]]) >> ec & 1
+    )
+
+
 def test_operator_caches_stay_exact_as_entries_shrink():
-    """Cached comp and mid-tidy results always equal fresh ones while
+    """Cached comp results and lane tables always equal fresh ones while
     reachable-set entries shrink, whether or not the cached call read them."""
     import random
 
-    hits = changed = 0
+    hits = changed = lane_hits = 0
     for seed in range(40):
         g = random_graph(seed, stages=3 + seed % 3, eset_p=0.9)
         if not g.full_mask:
@@ -320,21 +332,28 @@ def test_operator_caches_stay_exact_as_entries_shrink():
         read = 0  # edges whose entries the edge-set queries read
         for vi in vis:
             read |= g.eset(names[vi])
+        # one edge set per target; each table is asked for some lanes, then all
         mid_queries = [
-            (ec, rnd.randrange(1, len(names)), ceb)
-            for ec in range(g.edge_count)
-            for ceb in (g.full_mask, rnd.randrange(g.full_mask + 1))
+            (bi, ceb, hi)
+            for bi in vis
+            for ceb in (g.full_mask if bi % 2 else rnd.randrange(g.full_mask + 1),)
+            for hi in (rnd.randrange(g.edge_count + 1), g.edge_count)
         ]
         last = None
+        last_tables = {}
         for step in range(12):
             seen = []
             for es, vi in comp_queries:
                 seen.append(caches.comp_value(es, vi))
                 assert seen[-1] == comp(es, names[vi], r, g), (seed, step)
-            for ec, bi, ceb in mid_queries:
-                seen.append(caches.mid_tidy(ec, bi, ceb))
-                want = tidy(r.get(ec) & ceb, g.edge(ec).dst.name, names[bi], g)
-                assert seen[-1] == want, (seed, step)
+            for bi, ceb, hi in mid_queries:
+                tables = caches.mid_tidy(bi, ceb, hi)
+                lane_hits += tables is last_tables.get(bi)
+                last_tables[bi] = tables
+                for ec in range(hi):
+                    seen.append(lane_tidy(g, r, tables, ceb, ec))
+                    want = tidy(r.get(ec) & ceb, g.edge(ec).dst.name, names[bi], g)
+                    assert seen[-1] == want, (seed, step, bi, ec)
             changed += last is not None and seen != last
             last = seen
             # shrink entries, alternating between edges the edge-set queries
@@ -343,7 +362,86 @@ def test_operator_caches_stay_exact_as_entries_shrink():
                 keep = rnd.randrange(g.full_mask + 1)
                 r.set_entry(eid, r.get(eid) & (keep | keep >> 1))
         hits += caches.comp_hits
-    assert hits > 0 and changed > 0
+    assert hits > 0 and changed > 0 and lane_hits > 0
+
+
+# Two routes from a1 to y, one through e = u->v; a2 reaches y only through e.
+ROUTES_VERTICES = [("S", 0), ("a1", 1), ("a2", 1), ("u", 2), ("w", 2), ("v", 3), ("z", 3), ("y", 4), ("D", 5)]
+ROUTES_EDGES = [
+    ("S", "a1", 1),
+    ("S", "a2", 1),
+    ("a1", "u", 2),
+    ("a2", "u", 2),
+    ("a1", "w", 2),
+    ("u", "v", 3),
+    ("w", "z", 3),
+    ("v", "y", 4),
+    ("z", "y", 4),
+    ("y", "D", 5),
+]
+
+
+def test_change_matches_reference_as_entries_shrink():
+    """``change`` reuses the lane tables one ``OperatorCaches`` keeps across
+    calls.  With entries shrunk between calls, every result must still equal
+    ``reference.change_ref`` on the current map.
+
+    The routes graph pins the two facts the tables must get right.  Once
+    R(S->a2) loses y->D, only S->a1 can anchor y->D for e = u->v; once
+    R(S->a1) also loses v->y, S->a1 still reaches y through w but e no
+    longer does, so y->D has no anchor left and e's set empties, while
+    comp(D) stays the same and a stale table would still hold S->a1.
+    """
+    import random
+
+    g = mk_graph(
+        5,
+        ROUTES_VERTICES,
+        ROUTES_EDGES,
+        {name: ROUTES_EDGES for name, stage in ROUTES_VERTICES if stage},
+    )
+    rg = ref.RefGraph(g)
+    r = init_all(g)
+    names = g.vertex_names()
+    caches = OperatorCaches(g, r, [g.eset(name) if vi else 0 for vi, name in enumerate(names)])
+    e = g.edge_id("u", "v", 3)
+    results = []
+    for lane, lost in [(None, None), (("S", "a2", 1), ("y", "D", 5)), (("S", "a1", 1), ("v", "y", 4))]:
+        if lane is not None:
+            lid = g.edge_id(*lane)
+            assert r.set_entry(lid, r.get(lid) & ~(1 << g.edge_id(*lost)))
+        reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
+        want = ref.change_ref(rg, reach, g.edge_triple(e))
+        results.append(triples_of(g, change(r, e, g, caches)))
+        assert results[-1] == want, lane
+    assert results == [{("v", "y", 4), ("y", "D", 5)}] * 2 + [set()]
+
+    # universal edge sets keep many members, so the anchors matter
+    graphs = [random_graph(seed, stages=3 + seed % 4, eset_p=2.0) for seed in range(30)]
+    graphs += [reduce_hc_to_msp(gen_ugraph(5, 0.6, seed))[0] for seed in range(6)]
+    kept = 0
+    for gi, g in enumerate(graphs):
+        rg = ref.RefGraph(g)
+        rnd = random.Random(5000 + gi)
+        r = init_all(g)
+        names = g.vertex_names()
+        caches = OperatorCaches(g, r, [g.eset(name) if vi else 0 for vi, name in enumerate(names)])
+        later = [eid for eid in range(g.edge_count) if g.edge(eid).stage > 1]
+        for _ in range(min(3 * len(later), 40)):
+            eid = rnd.choice(later)
+            reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
+            want = ref.change_ref(rg, reach, g.edge_triple(eid))
+            got = change(r, eid, g, caches)
+            assert triples_of(g, got) == want, (gi, g.edge_triple(eid))
+            assert r.get(eid) == got
+            kept += bool(got)
+            # now and then drop one bit of some entry
+            held = [other for other, m in enumerate(r.entries) if m]
+            if held and rnd.random() < 0.4:
+                other = rnd.choice(held)
+                drop = 1 << rnd.choice(edge_ids(r.get(other)))
+                r.set_entry(other, r.get(other) & ~drop)
+    assert kept > 100
 
 
 # -- reach map -------------------------------------------------------------

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import pytest
 
-from msplab.model import edge_ids, validate
+from msplab.lab import gen_ugraph
+from msplab.model import edge_ids, edge_set, validate
+from msplab.operators import OperatorCaches, init_all, tidy
 from msplab.oracle import oracle_simple_path
+from msplab.reduction import UndirectedGraph, reduce_hc_to_msp
 from msplab.zh import (
     NO,
     YES,
     AbnormalTerminationError,
     InvalidGraphError,
+    limit_tables,
     replay_trace,
     zh_solve,
 )
@@ -59,6 +64,70 @@ def test_matches_reference_solver_on_random_instances():
         answer, final = ref.zh_ref(ref.RefGraph(g))
         assert result.answer == answer, seed
         assert frozenset(g.edge_triple(i) for i in edge_ids(result.final_comp_ed)) == final
+
+
+def test_matches_reference_solver_on_small_reductions():
+    """Answer and final set equal the reference solver's on the reduction of
+    every graph of order 4 and of a few random graphs of order 5."""
+    pairs = list(itertools.combinations(range(1, 5), 2))
+    graphs = [
+        UndirectedGraph.from_pairs(4, [p for i, p in enumerate(pairs) if bits >> i & 1])
+        for bits in range(1 << len(pairs))
+    ]
+    graphs += [gen_ugraph(5, 0.6, seed) for seed in range(6)]
+    answers = set()
+    for ug in graphs:
+        g, _ = reduce_hc_to_msp(ug)
+        result = zh_solve(g)
+        answer, final = ref.zh_ref(ref.RefGraph(g))
+        assert result.answer == answer, ug
+        assert frozenset(g.edge_triple(i) for i in edge_ids(result.final_comp_ed)) == final, ug
+        answers.add(answer)
+    assert answers == {YES, NO}
+
+
+def test_limit_tables_match_per_vertex_tidy():
+    """On shrunk random states, at every stage, the re-limit losers are the
+    edges whose set loses a window bit to the union of per-vertex tidies
+    through the stage's contracted edge sets, and ``keep`` spells out that
+    union for every edge."""
+    import random
+
+    graphs = [random_graph(seed, stages=3 + seed % 4, eset_p=0.9) for seed in range(30)]
+    graphs += [reduce_hc_to_msp(gen_ugraph(5, 0.6, seed))[0] for seed in range(3)]
+    losers_seen = 0
+    for gi, g in enumerate(graphs):
+        rnd = random.Random(6000 + gi)
+        r = init_all(g)
+        names = g.vertex_names()
+        caches = OperatorCaches(g, r, [g.eset(name) if vi else 0 for vi, name in enumerate(names)])
+        for _ in range(3):
+            for stage in range(1, g.stage_count):
+                vis = [vi for vi, name in enumerate(names) if g.vertex(name).stage == stage]
+                comps = [caches.comp_of(vi) for vi in vis]
+                keep, losers = limit_tables(caches, stage, comps)
+                for eid in range(g.edge_count):
+                    cur = r.get(eid)
+                    if g.edge(eid).stage > stage:
+                        continue
+                    head = g.edge(eid).dst.name
+                    union = 0
+                    for vi, ceb in zip(vis, comps):
+                        union |= tidy(cur & ceb, head, names[vi], g)
+                    window = g.span_mask(g.edge(eid).stage + 1, stage)
+                    lost = bool(cur & window & ~union)
+                    assert bool(losers >> eid & 1) == lost, (gi, stage, eid)
+                    losers_seen += lost
+                    kept = edge_set(f for f in edge_ids(cur & window) if keep[f] >> eid & 1)
+                    assert kept == union & window, (gi, stage, eid)
+                for vi, ceb in zip(vis, comps):
+                    caches.esets[vi] = ceb
+            # shrink about half the entries
+            for eid in range(g.edge_count):
+                if r.get(eid) and rnd.random() < 0.5:
+                    keep_bits = rnd.randrange(g.full_mask + 1)
+                    r.set_entry(eid, r.get(eid) & (keep_bits | keep_bits >> 1))
+    assert losers_seen > 100
 
 
 def test_necessity_on_random_instances():
