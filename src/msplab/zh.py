@@ -130,21 +130,18 @@ def zh_solve(
                             }
                         )
                     esets[vi] = new
-            # re-limit every reachable set of stage <= current stage; the
-            # lane tables are rebuilt only when a shrink changed some comp(v)
-            comps = None
-            stale = True
+            # re-limit every reachable set of stage <= current stage.  A
+            # re-limit removes only bits on no head -> v path inside comp(v),
+            # so no comp(v) changes and one set of lane tables serves the stage
+            keep = None
             for eid in range(stage_end[stage]):
                 cur = entries[eid]
                 if not cur:
                     continue
                 limit_ops += 1
-                if stale:
-                    stale = False
-                    now = [caches.comp_of(vi) for vi in stage_vertices[stage]]
-                    if now != comps:
-                        comps = now
-                        keep, losers = limit_tables(caches, stage, comps)
+                if keep is None:
+                    comps = [caches.comp_of(vi) for vi in stage_vertices[stage]]
+                    keep, losers = limit_tables(caches, stage, comps)
                 if not losers >> eid & 1:
                     continue  # the union covers cur's window, and cur is already tidy
                 window = g.span_mask(g._estage[eid] + 1, stage)
@@ -156,18 +153,16 @@ def zh_solve(
                     if keep[low.bit_length() - 1] >> eid & 1:
                         kept |= low
                 new = _tidy_idx(g, kept, g._eto[eid], sink_idx)
-                if r.set_entry(eid, new):
-                    stale = True
-                    if trace is not None:
-                        trace.append(
-                            {
-                                "event": "r_shrink",
-                                "sweep": sweeps,
-                                "stage": stage,
-                                "edge": eid,
-                                "removed": edge_ids(cur & ~new),
-                            }
-                        )
+                if r.set_entry(eid, new) and trace is not None:
+                    trace.append(
+                        {
+                            "event": "r_shrink",
+                            "sweep": sweeps,
+                            "stage": stage,
+                            "edge": eid,
+                            "removed": edge_ids(cur & ~new),
+                        }
+                    )
         if r.bits_deleted == deleted_before:
             break
 
@@ -177,6 +172,7 @@ def zh_solve(
         operator_calls={
             "change": change_calls,
             "comp": caches.comp_runs,
+            "comp_warm": caches.comp_warm,
             "comp_cache_hits": caches.comp_hits,
             "limit": limit_ops,
         },

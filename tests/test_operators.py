@@ -189,17 +189,19 @@ def test_comp_matches_reference_as_entries_shrink():
     transpose of the entries.  Shrink every entry a few bits at a time until
     the map is empty; the transpose and ``comp`` must stay exact throughout,
     also on Hamilton-circuit reductions, whose many stages make long
-    backward passes."""
+    backward passes.  A run warm-started from the result the same query
+    gave before the shrinks must reach the same set."""
     import random
 
     graphs = [random_graph(seed, stages=3 + seed % 5, max_width=4) for seed in range(40)]
     graphs += [reduce_hc_to_msp(gen_ugraph(5, 0.6, seed))[0] for seed in range(6)]
-    checked = 0
+    checked = warm_moved = 0
     for gi, g in enumerate(graphs):
         rg = ref.RefGraph(g)
         rnd = random.Random(4000 + gi)
         r = init_all(g)
         targets = g.vertex_names()[1:]
+        previous = {}  # (name, es) -> result of comp before the latest shrinks
         while True:
             assert r.holders == transpose(r.entries), gi
             reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
@@ -209,6 +211,12 @@ def test_comp_matches_reference_as_entries_shrink():
                 want = ref.comp_ref(rg, triples_of(g, es), name, reach)
                 assert triples_of(g, got) == want, (gi, name, edge_ids(es))
                 checked += bool(got)
+                if (name, es) in previous:
+                    start = previous[name, es]
+                    warm = comp(es, name, r, g, start=start)
+                    assert triples_of(g, warm) == want, (gi, name, edge_ids(es), edge_ids(start))
+                    warm_moved += warm != start
+                previous[name, es] = got
             held = [eid for eid, m in enumerate(r.entries) if m]
             if not held:
                 break
@@ -216,7 +224,33 @@ def test_comp_matches_reference_as_entries_shrink():
             bits = edge_ids(r.get(eid))
             drop = edge_set(rnd.sample(bits, min(len(bits), rnd.randint(1, 3))))
             assert r.set_entry(eid, r.get(eid) & ~drop)
-    assert checked > 100
+    assert checked > 100 and warm_moved > 20
+
+
+def test_comp_tidies_an_untidy_set_whose_first_sweep_deletes_nothing():
+    """Two routes S -> a -> D and S -> b -> D; the edge set misses S -> b.
+    No member fails the path test (b -> D ends at the target), so the first
+    sweep deletes nothing, yet b -> D lies on no S -> D path inside the set
+    and the tidy step must still remove it, cold or warm."""
+    vertices = [("S", 0), ("a", 1), ("b", 1), ("D", 2)]
+    edges = [("S", "a", 1), ("S", "b", 1), ("a", "D", 2), ("b", "D", 2)]
+    g = mk_graph(2, vertices, edges, {"a": edges, "b": edges, "D": edges})
+    r = init_all(g)
+    es = mask_of(g, [("S", "a", 1), ("a", "D", 2), ("b", "D", 2)])
+    want = mask_of(g, [("S", "a", 1), ("a", "D", 2)])
+    rg = ref.RefGraph(g)
+    reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
+    assert ref.comp_ref(rg, triples_of(g, es), "D", reach) == triples_of(g, want)
+    assert comp(es, "D", r, g) == want
+    assert comp(es, "D", r, g, start=want) == want
+    assert comp(es, "D", r, g, start=0) == 0
+
+
+def test_comp_rejects_a_start_outside_its_edge_set(chain_c):
+    r = init_all(chain_c)
+    es = chain_c.eset("D")
+    with pytest.raises(AbnormalTerminationError):
+        comp(es & ~1, "D", r, chain_c, start=es)
 
 
 def test_comp_contraction_idempotence_and_bound():
@@ -318,7 +352,7 @@ def test_operator_caches_stay_exact_as_entries_shrink():
     reachable-set entries shrink, whether or not the cached call read them."""
     import random
 
-    hits = changed = lane_hits = 0
+    hits = changed = lane_hits = warm = 0
     for seed in range(40):
         g = random_graph(seed, stages=3 + seed % 3, eset_p=0.9)
         if not g.full_mask:
@@ -362,7 +396,8 @@ def test_operator_caches_stay_exact_as_entries_shrink():
                 keep = rnd.randrange(g.full_mask + 1)
                 r.set_entry(eid, r.get(eid) & (keep | keep >> 1))
         hits += caches.comp_hits
-    assert hits > 0 and changed > 0 and lane_hits > 0
+        warm += caches.comp_warm
+    assert hits > 0 and changed > 0 and lane_hits > 0 and warm > 0
 
 
 # Two routes from a1 to y, one through e = u->v; a2 reaches y only through e.

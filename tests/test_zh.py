@@ -8,7 +8,7 @@ import pytest
 from msplab.lab import gen_ugraph
 from msplab.model import edge_ids, edge_set, validate
 from msplab.operators import OperatorCaches, init_all, tidy
-from msplab.oracle import oracle_simple_path
+from msplab.oracle import oracle_hamilton, oracle_simple_path
 from msplab.reduction import UndirectedGraph, reduce_hc_to_msp
 from msplab.zh import (
     NO,
@@ -203,3 +203,31 @@ def test_zh_result_shape(chain_c):
     assert dataclasses.is_dataclass(result)
     assert (result.answer == YES) == (result.final_comp_ed != 0)
     assert result.metrics.wall_time >= 0.0
+
+
+def generalized_petersen(n: int, k: int) -> UndirectedGraph:
+    """GP(n, k): outer cycle 1..n, spokes i -> n+i, inner star polygon step k."""
+    pairs = []
+    for i in range(n):
+        pairs.append((1 + i, 1 + (i + 1) % n))
+        pairs.append((1 + i, 1 + n + i))
+        pairs.append((1 + n + i, 1 + n + (i + k) % n))
+    return UndirectedGraph.from_pairs(2 * n, pairs)
+
+
+@pytest.mark.parametrize("n, answer", [(5, NO), (6, YES), (7, YES)])
+def test_sparse_generalized_petersen_reductions(n, answer):
+    """Cubic graphs reduce to long, sparse instances on which ``comp`` re-runs
+    from stale cache entries most; GP(n, 2) is non-Hamiltonian exactly when
+    n = 5 (mod 6) (Alspach, JCTB 34, 1983), and GP(5, 2) is the Petersen graph."""
+    ug = generalized_petersen(n, 2)
+    assert len(ug.edges) == 3 * n
+    assert oracle_hamilton(ug).answer == answer
+    g, _ = reduce_hc_to_msp(ug)
+    assert zh_solve(g).answer == answer
+
+
+def test_metrics_count_warm_started_comp_runs():
+    g, _ = reduce_hc_to_msp(gen_ugraph(8, 0.5, 0))
+    calls = zh_solve(g).metrics.operator_calls
+    assert 0 < calls["comp_warm"] <= calls["comp"]
