@@ -19,12 +19,22 @@ bytes.
 Undirected graphs are one ``u v`` edge per line with positive integer
 vertices, plus an optional ``vertices N`` header so isolated vertices
 survive a round trip.
+
+Both parsers reject a stage count or vertex count above :data:`MAX_COUNT`
+with ``E_TOO_LARGE`` before anything is sized by it, so a few bytes of
+input cannot ask for gigabytes.
 """
 
 from __future__ import annotations
 
 from .model import GraphStructureError, MultistageGraph, edge_ids
 from .reduction import UndirectedGraph
+
+
+# Largest stage count of an instance and largest vertex count of an
+# undirected graph.  A graph of order 1,000 already reduces to about 10^6
+# staged vertices (0.6 GB), and a 1,000-stage chain takes the solver seconds.
+MAX_COUNT = 1000
 
 
 class InstanceParseError(ValueError):
@@ -53,6 +63,11 @@ def _int_field(token: str, what: str, lineno: int) -> int:
         return int(token)
     except ValueError:
         raise InstanceParseError("E_BAD_INT", f"{what} must be an integer, got {token!r}", lineno) from None
+
+
+def _check_count(count: int, what: str, lineno: int | None = None) -> None:
+    if count > MAX_COUNT:
+        raise InstanceParseError("E_TOO_LARGE", f"{what} {count} exceeds {MAX_COUNT}", lineno)
 
 
 def parse_instance(text: str) -> MultistageGraph:
@@ -84,6 +99,7 @@ def parse_instance(text: str) -> MultistageGraph:
             if len(args) != 1:
                 raise InstanceParseError("E_SYNTAX", "stages takes one argument", lineno)
             stages = _int_field(args[0], "stage count", lineno)
+            _check_count(stages, "stage count", lineno)
         elif directive == "vertex":
             if len(args) != 2:
                 raise InstanceParseError("E_SYNTAX", "vertex takes NAME STAGE", lineno)
@@ -161,6 +177,7 @@ def parse_ugraph(text: str) -> UndirectedGraph:
             if len(tokens) != 2:
                 raise InstanceParseError("E_SYNTAX", "vertices takes one count", lineno)
             declared_n = _int_field(tokens[1], "vertex count", lineno)
+            _check_count(declared_n, "vertex count", lineno)
             continue
         if len(tokens) != 2:
             raise InstanceParseError("E_SYNTAX", "expected 'u v' edge line", lineno, col)
@@ -170,6 +187,7 @@ def parse_ugraph(text: str) -> UndirectedGraph:
             raise InstanceParseError("E_BAD_VERTEX", "vertices are positive integers", lineno)
         if u == v:
             raise InstanceParseError("E_SELF_LOOP", f"self-loop at {u}", lineno)
+        _check_count(max(u, v), "vertex", lineno)
         pairs.append((min(u, v), max(u, v)))
         max_seen = max(max_seen, u, v)
     n = max(declared_n, max_seen)

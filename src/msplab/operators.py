@@ -12,8 +12,13 @@
   Its result is the greatest fixpoint of a monotone, deflationary step, so
   once the reachable sets shrink, the new result lies inside the old one
   (Tarski, Pacific J. Math. 5(2), 1955): ``start=`` resumes from an earlier
-  result, and ``OperatorCaches.comp_value`` re-runs a stale entry that way.
-  A sweep that deletes nothing from a set already tidy skips the tidy step.
+  result.  A member's test reads only its own reachable set and the working
+  set, so after a shrink only the members whose reachable sets lost a bit
+  inside that result can fail; ``lanes=`` names them, and the first sweep
+  tests those alone (semi-naive evaluation, Bancilhon & Ramakrishnan,
+  SIGMOD 1986).  ``OperatorCaches.comp_value`` settles a stale entry with
+  no such member without a run and re-runs the others that way.  A sweep
+  that deletes nothing from a set already tidy skips the tidy step.
 * ``change`` contracts one reachable set against all the others until stable.
   Its anchors come from lane tables: for a target vertex b and edge set es,
   one forward and one backward pass over ``holders`` with every edge ec as
@@ -241,7 +246,13 @@ def init_all(g: MultistageGraph) -> ReachMap:
 
 
 def comp(
-    es: EdgeSet, v, r: ReachMap, g: MultistageGraph, *, start: EdgeSet | None = None
+    es: EdgeSet,
+    v,
+    r: ReachMap,
+    g: MultistageGraph,
+    *,
+    start: EdgeSet | None = None,
+    lanes: EdgeSet | None = None,
 ) -> EdgeSet:
     """Contract ``es`` against the reachable sets, targeting vertex ``v``.
 
@@ -255,6 +266,13 @@ def comp(
     set then begins there instead of at ``es``: the result is the greatest
     fixpoint of a monotone, deflationary step, so it lies inside ``start``
     and iterating from either reaches the same set.
+
+    ``lanes``, if given, is a subset of ``start``: the members whose
+    reachable sets may have lost a bit inside ``start`` since it was
+    computed.  A member's test reads only its own reachable set and the
+    working set, so every other member of ``start`` still passes, and the
+    first sweep tests ``lanes`` alone, walking only the edges their
+    reachable sets hold.  Later sweeps test every member.
     """
     vi = _vertex_index(g, v)
     src = g._stage_vertices[0][0]
@@ -268,6 +286,18 @@ def comp(
     working = es if start is None else start
     if working & ~es:
         raise AbnormalTerminationError("comp start lies outside its edge set")
+    if lanes is None:
+        lanes, support = working, -1
+    else:
+        if start is None or lanes & ~start:
+            raise AbnormalTerminationError("comp lanes lie outside its start")
+        support = 0  # the edges whose holders carry a tested lane
+        entries = r.entries
+        m = lanes
+        while m:
+            low = m & -m
+            support |= entries[low.bit_length() - 1]
+            m ^= low
     tidied = start is not None  # a result of comp is already tidy
     bound = es.bit_count() + 1
     sweeps = 0
@@ -276,15 +306,16 @@ def comp(
         if sweeps > bound:
             raise AbnormalTerminationError(f"comp exceeded {bound} sweeps")
         before = working
-        # val[x]: the members whose reachable set, cut down to the working
-        # set, carries a path from x to v; one backward pass over all members
+        # val[x]: the tested members whose reachable set, cut down to the
+        # working set, carries a path from x to v; one backward pass
         val = [0] * nv
-        val[vi] = working
+        val[vi] = lanes
         alive = working & in_mask[vi]  # members ending at v are exempt
+        walk = working & support
         for k in stages_back:
             for xi in stage_vertices[k]:
                 acc = 0
-                m = working & out_mask[xi]
+                m = walk & out_mask[xi]
                 while m:
                     low = m & -m
                     f = low.bit_length() - 1
@@ -292,7 +323,7 @@ def comp(
                     acc |= holders[f] & val[eto[f]]
                 val[xi] = acc
                 alive |= acc & in_mask[xi]
-        working &= alive
+        working &= alive | ~lanes  # untested members stay
         if working != before or not tidied:  # tidy is idempotent
             working = _tidy_idx(g, working, src, vi)
             tidied = True
@@ -300,6 +331,7 @@ def comp(
             if working & ~es:
                 raise AbnormalTerminationError("comp grew its input edge set")
             return working
+        lanes, support = working, -1
 
 
 def change(
@@ -382,8 +414,15 @@ def change(
         r.set_entry(eid, cur)
 
 
-def _read_nothing(entries: list[int]) -> tuple:
-    return ()
+def _reader(ids: list[int]):
+    """A function returning the tuple of ``entries[i]`` for ``i`` in ``ids``
+    (``itemgetter`` over a single id returns the value itself)."""
+    if len(ids) > 1:
+        return itemgetter(*ids)
+    if ids:
+        (i,) = ids
+        return lambda entries: (entries[i],)
+    return lambda entries: ()
 
 
 class OperatorCaches:
@@ -392,11 +431,13 @@ class OperatorCaches:
     A cached ``comp`` result or lane table is reused only while the
     reachable-set entries and edge-set masks it read are unchanged.  Entries
     only shrink and never return to an earlier value, so comparing them by
-    value makes every hit exact.  A ``comp`` entry keeps, per key, an
-    ``operator.itemgetter`` over the entries of its edge set and the values
-    it read, so checking it is one call.  When they have changed, ``comp``
-    re-runs from the cached result (``start``) rather than from the edge
-    set, which reaches the same set in fewer sweeps.  Source tidies of
+    value makes every hit exact.  A ``comp`` run from its cached result
+    reads only the entries of the result's members, so a ``comp`` entry
+    keeps an ``operator.itemgetter`` over those and the values it read, and
+    checking it is one call.  When they have changed, only the members
+    whose entries lost a bit inside the result (its dirty lanes) can fail:
+    with none the result stands, otherwise ``comp`` re-runs from the result
+    testing those lanes first (``start``, ``lanes``).  Source tidies of
     anchor sets depend on the graph alone and are memoized outright.
     """
 
@@ -409,6 +450,7 @@ class OperatorCaches:
         "_source_tidy",
         "comp_runs",
         "comp_warm",
+        "comp_settled",
         "comp_hits",
     )
 
@@ -416,7 +458,8 @@ class OperatorCaches:
         self.graph = graph
         self.r = r
         self.esets = esets  # by vertex index; shared, caller-mutated
-        # (vi, es) -> [result, r.bits_deleted when last valid, reader, reader(entries) then]
+        # (vi, es) -> [result, r.bits_deleted when last valid, ids of result,
+        #              reader of those entries, their values then]
         self._comp: dict[tuple[int, int], list] = {}
         # bi -> [(fwd, back), es, r.bits_deleted when built, entries[:hi] when built]
         self._lanes: dict[int, list] = {}
@@ -424,6 +467,7 @@ class OperatorCaches:
         self._source_tidy: dict[tuple[int, int], int] = {}
         self.comp_runs = 0
         self.comp_warm = 0  # the runs of comp that started from a cached result
+        self.comp_settled = 0  # stale entries that had no dirty lane
         self.comp_hits = 0
 
     def comp_value(self, es: int, vi: int) -> int:
@@ -431,22 +475,35 @@ class OperatorCaches:
         g = self.graph
         hit = self._comp.get((vi, es))
         if hit is None:
-            read = itemgetter(*edge_ids(es)) if es else _read_nothing
             result = comp(es, g._vnames[vi], r, g)
-            self._comp[vi, es] = [result, r.bits_deleted, read, read(r.entries)]
+            self._comp[vi, es] = self._comp_entry(result)
             self.comp_runs += 1
             return result
         if hit[1] != r.bits_deleted:
             hit[1] = r.bits_deleted
-            seen = hit[2](r.entries)
-            if seen != hit[3]:
-                hit[3] = seen
-                hit[0] = comp(es, g._vnames[vi], r, g, start=hit[0])
-                self.comp_runs += 1
-                self.comp_warm += 1
-                return hit[0]
+            result, _, ids, read, old = hit
+            seen = read(r.entries)
+            if seen != old:
+                hit[4] = seen
+                dirty = 0
+                for eid, was, now in zip(ids, old, seen):
+                    if was != now and (was ^ now) & result:
+                        dirty |= 1 << eid
+                if dirty:
+                    new = comp(es, g._vnames[vi], r, g, start=result, lanes=dirty)
+                    self.comp_runs += 1
+                    self.comp_warm += 1
+                    if new != result:
+                        self._comp[vi, es] = self._comp_entry(new)
+                    return new
+                self.comp_settled += 1
         self.comp_hits += 1
         return hit[0]
+
+    def _comp_entry(self, result: int) -> list:
+        ids = edge_ids(result)
+        read = _reader(ids)
+        return [result, self.r.bits_deleted, ids, read, read(self.r.entries)]
 
     def comp_of(self, vi: int) -> int:
         return self.comp_value(self.esets[vi], vi)

@@ -173,6 +173,7 @@ def zh_solve(
             "change": change_calls,
             "comp": caches.comp_runs,
             "comp_warm": caches.comp_warm,
+            "comp_settled": caches.comp_settled,
             "comp_cache_hits": caches.comp_hits,
             "limit": limit_ops,
         },

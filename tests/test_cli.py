@@ -197,6 +197,15 @@ def test_exit_codes_for_bad_inputs(capsys, tmp_path):
     assert "MISSING_ESET" in err
 
 
+def test_solve_rejects_a_huge_stage_count_as_a_format_error(capsys, tmp_path):
+    """A few bytes must not size per-stage tables by a count they declare."""
+    huge = tmp_path / "huge.msp"
+    huge.write_text("msp 1\nstages 99999999999\nvertex S 0\n")
+    status, _, err = run_cli(capsys, "solve", str(huge))
+    assert status == EXIT_FORMAT
+    assert "E_TOO_LARGE" in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing instance argument

@@ -190,18 +190,20 @@ def test_comp_matches_reference_as_entries_shrink():
     the map is empty; the transpose and ``comp`` must stay exact throughout,
     also on Hamilton-circuit reductions, whose many stages make long
     backward passes.  A run warm-started from the result the same query
-    gave before the shrinks must reach the same set."""
+    gave before the shrinks must reach the same set, also when its first
+    sweep tests only the members whose entries lost a bit inside that
+    result (``lanes``)."""
     import random
 
     graphs = [random_graph(seed, stages=3 + seed % 5, max_width=4) for seed in range(40)]
     graphs += [reduce_hc_to_msp(gen_ugraph(5, 0.6, seed))[0] for seed in range(6)]
-    checked = warm_moved = 0
+    checked = warm_moved = lanes_moved = lanes_partial = 0
     for gi, g in enumerate(graphs):
         rg = ref.RefGraph(g)
         rnd = random.Random(4000 + gi)
         r = init_all(g)
         targets = g.vertex_names()[1:]
-        previous = {}  # (name, es) -> result of comp before the latest shrinks
+        previous = {}  # (name, es) -> (result of comp, entries) before the latest shrinks
         while True:
             assert r.holders == transpose(r.entries), gi
             reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
@@ -212,11 +214,18 @@ def test_comp_matches_reference_as_entries_shrink():
                 assert triples_of(g, got) == want, (gi, name, edge_ids(es))
                 checked += bool(got)
                 if (name, es) in previous:
-                    start = previous[name, es]
+                    start, then = previous[name, es]
                     warm = comp(es, name, r, g, start=start)
                     assert triples_of(g, warm) == want, (gi, name, edge_ids(es), edge_ids(start))
                     warm_moved += warm != start
-                previous[name, es] = got
+                    dirty = edge_set(
+                        ec for ec in edge_ids(start) if (then[ec] ^ r.get(ec)) & start
+                    )
+                    got_lanes = comp(es, name, r, g, start=start, lanes=dirty)
+                    assert triples_of(g, got_lanes) == want, (gi, name, edge_ids(dirty))
+                    lanes_moved += got_lanes != start
+                    lanes_partial += 0 < dirty != start and got_lanes != start
+                previous[name, es] = got, list(r.entries)
             held = [eid for eid, m in enumerate(r.entries) if m]
             if not held:
                 break
@@ -224,7 +233,7 @@ def test_comp_matches_reference_as_entries_shrink():
             bits = edge_ids(r.get(eid))
             drop = edge_set(rnd.sample(bits, min(len(bits), rnd.randint(1, 3))))
             assert r.set_entry(eid, r.get(eid) & ~drop)
-    assert checked > 100 and warm_moved > 20
+    assert checked > 100 and warm_moved > 20 and lanes_moved > 20 and lanes_partial > 10
 
 
 def test_comp_tidies_an_untidy_set_whose_first_sweep_deletes_nothing():
@@ -251,6 +260,16 @@ def test_comp_rejects_a_start_outside_its_edge_set(chain_c):
     es = chain_c.eset("D")
     with pytest.raises(AbnormalTerminationError):
         comp(es & ~1, "D", r, chain_c, start=es)
+
+
+def test_comp_rejects_lanes_outside_its_start(chain_c):
+    r = init_all(chain_c)
+    es = chain_c.eset("D")
+    with pytest.raises(AbnormalTerminationError):
+        comp(es, "D", r, chain_c, lanes=1)
+    with pytest.raises(AbnormalTerminationError):
+        comp(es, "D", r, chain_c, start=es & ~1, lanes=1)
+    assert comp(es, "D", r, chain_c, start=es, lanes=0) == es
 
 
 def test_comp_contraction_idempotence_and_bound():
@@ -349,10 +368,12 @@ def lane_tidy(g, r, tables, es, ec):
 
 def test_operator_caches_stay_exact_as_entries_shrink():
     """Cached comp results and lane tables always equal fresh ones while
-    reachable-set entries shrink, whether or not the cached call read them."""
+    reachable-set entries shrink, whether or not the cached call read them.
+    Some stale comp entries must settle without a run (every shrink of the
+    entries they read missed the cached result) and some must re-run."""
     import random
 
-    hits = changed = lane_hits = warm = 0
+    hits = changed = lane_hits = warm = settled = 0
     for seed in range(40):
         g = random_graph(seed, stages=3 + seed % 3, eset_p=0.9)
         if not g.full_mask:
@@ -397,7 +418,9 @@ def test_operator_caches_stay_exact_as_entries_shrink():
                 r.set_entry(eid, r.get(eid) & (keep | keep >> 1))
         hits += caches.comp_hits
         warm += caches.comp_warm
-    assert hits > 0 and changed > 0 and lane_hits > 0 and warm > 0
+        settled += caches.comp_settled
+        assert caches.comp_settled <= caches.comp_hits
+    assert hits > 0 and changed > 0 and lane_hits > 0 and warm > 0 and settled > 0
 
 
 # Two routes from a1 to y, one through e = u->v; a2 reaches y only through e.

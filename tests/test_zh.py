@@ -231,3 +231,4 @@ def test_metrics_count_warm_started_comp_runs():
     g, _ = reduce_hc_to_msp(gen_ugraph(8, 0.5, 0))
     calls = zh_solve(g).metrics.operator_calls
     assert 0 < calls["comp_warm"] <= calls["comp"]
+    assert 0 < calls["comp_settled"] <= calls["comp_cache_hits"]
