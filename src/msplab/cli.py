@@ -211,8 +211,11 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    widths = tuple(int(w) for w in args.widths.split(","))
-    rows, slope = bench_scaling(widths=widths, stages=args.stages, reps=args.reps)
+    try:
+        widths = tuple(int(w) for w in args.widths.split(","))
+        rows, slope = bench_scaling(widths=widths, stages=args.stages, reps=args.reps)
+    except ValueError as exc:
+        raise _CliFailure(EXIT_FORMAT, f"bad bench input: {exc}") from exc
     if args.machine:
         print(json.dumps({"command": "bench", "rows": rows, "slope": slope}, sort_keys=True))
     else:

@@ -18,7 +18,11 @@ bytes.
 
 Undirected graphs are one ``u v`` edge per line with positive integer
 vertices, plus an optional ``vertices N`` header so isolated vertices
-survive a round trip.
+survive a round trip.  The header may appear once, N must be positive, and
+no endpoint may exceed it; without it, N is the largest endpoint.
+
+Integers in both formats are ASCII digits with an optional leading minus:
+``+3``, ``1_0`` and non-ASCII digits are ``E_BAD_INT``.
 
 Both parsers reject a stage count or vertex count above :data:`MAX_COUNT`
 with ``E_TOO_LARGE`` before anything is sized by it, so a few bytes of
@@ -26,6 +30,8 @@ input cannot ask for gigabytes.
 """
 
 from __future__ import annotations
+
+import re
 
 from .model import GraphStructureError, MultistageGraph, edge_ids
 from .reduction import UndirectedGraph
@@ -58,11 +64,17 @@ def _tokenize(text: str):
         yield lineno, line.index(stripped[0]) + 1, stripped.split()
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
 def _int_field(token: str, what: str, lineno: int) -> int:
+    """``token`` as an integer, spelled in ASCII digits with an optional minus."""
     try:
-        return int(token)
-    except ValueError:
-        raise InstanceParseError("E_BAD_INT", f"{what} must be an integer, got {token!r}", lineno) from None
+        if _INT.fullmatch(token):
+            return int(token)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise InstanceParseError("E_BAD_INT", f"{what} must be an integer, got {token!r}", lineno)
 
 
 def _check_count(count: int, what: str, lineno: int | None = None) -> None:
@@ -169,14 +181,18 @@ def serialize_instance(g: MultistageGraph) -> str:
 
 def parse_ugraph(text: str) -> UndirectedGraph:
     """Parse the undirected edge-list format."""
-    declared_n = 0
+    declared_n: int | None = None
     pairs: list[tuple[int, int]] = []
-    max_seen = 0
+    max_seen = max_line = 0
     for lineno, col, tokens in _tokenize(text):
         if tokens[0] == "vertices":
+            if declared_n is not None:
+                raise InstanceParseError("E_DUPLICATE_VERTICES", "vertices given twice", lineno)
             if len(tokens) != 2:
                 raise InstanceParseError("E_SYNTAX", "vertices takes one count", lineno)
             declared_n = _int_field(tokens[1], "vertex count", lineno)
+            if declared_n < 1:
+                raise InstanceParseError("E_BAD_VERTEX", "the vertex count must be positive", lineno)
             _check_count(declared_n, "vertex count", lineno)
             continue
         if len(tokens) != 2:
@@ -187,10 +203,14 @@ def parse_ugraph(text: str) -> UndirectedGraph:
             raise InstanceParseError("E_BAD_VERTEX", "vertices are positive integers", lineno)
         if u == v:
             raise InstanceParseError("E_SELF_LOOP", f"self-loop at {u}", lineno)
-        _check_count(max(u, v), "vertex", lineno)
-        pairs.append((min(u, v), max(u, v)))
-        max_seen = max(max_seen, u, v)
-    n = max(declared_n, max_seen)
+        lo, hi = min(u, v), max(u, v)
+        _check_count(hi, "vertex", lineno)
+        pairs.append((lo, hi))
+        if hi > max_seen:
+            max_seen, max_line = hi, lineno
+    if declared_n is not None and max_seen > declared_n:
+        raise InstanceParseError("E_BAD_VERTEX", f"vertex {max_seen} above the declared {declared_n}", max_line)
+    n = max_seen if declared_n is None else declared_n
     if n == 0:
         raise InstanceParseError("E_EMPTY", "no content")
     return UndirectedGraph.from_pairs(n, pairs)

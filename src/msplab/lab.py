@@ -318,6 +318,22 @@ class CampaignConfig:
     workers: int = 1
     minimize_budget: int = 120
 
+    def check(self) -> None:
+        if self.instances < 0:
+            raise ValueError("instances must be at least 0")
+        if not 1 <= self.stages_min <= self.stages_max:
+            raise ValueError("need 1 <= stages_min <= stages_max")
+        if self.width_max < 1:
+            raise ValueError("width_max must be at least 1")
+        if not self.eset_densities:
+            raise ValueError("eset_densities is empty")
+        for p in (self.edge_density, *self.eset_densities):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"density {p} outside [0, 1]")
+        for key in ("oracle_max_nodes", "workers", "minimize_budget"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
+
     def to_text(self) -> str:
         lines = []
         for key, value in asdict(self).items():
@@ -349,7 +365,9 @@ class CampaignConfig:
                 kwargs[key] = float(value)
             else:
                 kwargs[key] = int(value)
-        return replace(defaults, **kwargs)
+        config = replace(defaults, **kwargs)
+        config.check()
+        return config
 
 
 def shape_for_seed(config: CampaignConfig, seed: int) -> GenShape:
@@ -608,6 +626,8 @@ def bench_scaling(
 ) -> tuple[list[dict], float]:
     """Solve a family of growing width and fit a log-log slope of wall time
     against edge count."""
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     rows = []
     for width in widths:
         shape = GenShape(

@@ -6,9 +6,10 @@
   of every e.dst -> sink path along which both endpoints of each visited
   edge carry e in their edge sets.
 * ``comp`` contracts an edge set against the reachable sets until stable.
-  Each sweep tests every member at once in one backward pass from the
-  target over the transposed map ``ReachMap.holders``, with the members as
-  bit lanes (multi-source traversal after Then et al., PVLDB 8(4), 2014).
+  Each sweep tests every member at once with the lane tables' backward
+  pass (``_backward_lanes``) from the target over the transposed map
+  ``ReachMap.holders``, seeded with the tested members as bit lanes
+  (multi-source traversal after Then et al., PVLDB 8(4), 2014).
   Its result is the greatest fixpoint of a monotone, deflationary step, so
   once the reachable sets shrink, the new result lies inside the old one
   (Tarski, Pacific J. Math. 5(2), 1955): ``start=`` resumes from an earlier
@@ -54,52 +55,25 @@ def _vertex_index(g: MultistageGraph, v) -> int:
     return g._vindex[v]
 
 
-def _forward_reach(g: MultistageGraph, mask: int, ui: int, stop_stage: int):
-    """Vertex bitmask reachable from ``ui`` along ``mask`` edges, plus the
-    union of out-edge masks of all reached vertices."""
-    vstage = g._vstage
-    in_mask = g._in_mask
-    out_mask = g._out_mask
+def _reach(g: MultistageGraph, mask: int, xi: int, stages, near: list[int], far: list[int]) -> int:
+    """The union of ``far[w]`` over ``xi`` and the vertices w it reaches
+    along ``mask`` edges, visiting ``stages`` in order: w is reached when
+    ``mask & near[w]`` meets the union so far.  Forward from ``xi``, ``near,
+    far = in_mask, out_mask``; backward to it, the other way round."""
     stage_vertices = g._stage_vertices
-    reach = 1 << ui
-    out_acc = out_mask[ui]
-    for k in range(vstage[ui] + 1, stop_stage + 1):
-        avail = mask & out_acc
+    acc = far[xi]
+    for k in stages:
+        avail = mask & acc
         if not avail:
             break
         hit = False
         for wi in stage_vertices[k]:
-            if avail & in_mask[wi]:
-                reach |= 1 << wi
-                out_acc |= out_mask[wi]
+            if avail & near[wi]:
+                acc |= far[wi]
                 hit = True
         if not hit:
             break
-    return reach, out_acc
-
-
-def _backward_reach(g: MultistageGraph, mask: int, vi: int, stop_stage: int):
-    """Vertex bitmask that reaches ``vi`` along ``mask`` edges, plus the
-    union of in-edge masks of all such vertices."""
-    vstage = g._vstage
-    in_mask = g._in_mask
-    out_mask = g._out_mask
-    stage_vertices = g._stage_vertices
-    reach = 1 << vi
-    in_acc = in_mask[vi]
-    for k in range(vstage[vi] - 1, stop_stage - 1, -1):
-        avail = mask & in_acc
-        if not avail:
-            break
-        hit = False
-        for wi in stage_vertices[k]:
-            if avail & out_mask[wi]:
-                reach |= 1 << wi
-                in_acc |= in_mask[wi]
-                hit = True
-        if not hit:
-            break
-    return reach, in_acc
+    return acc
 
 
 def _tidy_idx(g: MultistageGraph, es: int, ui: int, vi: int) -> int:
@@ -110,10 +84,11 @@ def _tidy_idx(g: MultistageGraph, es: int, ui: int, vi: int) -> int:
     sv = vstage[vi]
     if su >= sv:
         return 0
-    fwd, out_acc = _forward_reach(g, es, ui, sv)
-    if not (fwd >> vi) & 1:
+    in_mask = g._in_mask
+    out_acc = _reach(g, es, ui, range(su + 1, sv + 1), in_mask, g._out_mask)
+    if not es & out_acc & in_mask[vi]:  # early exit only: the result below is exact
         return 0
-    _, in_acc = _backward_reach(g, es, vi, su)
+    in_acc = _reach(g, es, vi, range(sv - 1, su - 1, -1), g._out_mask, in_mask)
     return es & out_acc & in_acc
 
 
@@ -137,14 +112,17 @@ def _forward_lanes(g: MultistageGraph, holders: list[int], es: int, vi: int) -> 
     return fwd
 
 
-def _backward_lanes(g: MultistageGraph, holders: list[int], es: int, vi: int) -> list[int]:
+def _backward_lanes(
+    g: MultistageGraph, holders: list[int], es: int, vi: int, seed: int = -1
+) -> list[int]:
     """back[x] for the vertices x of stages 1 .. stage(vi)-1: the lanes ec
-    for which x reaches ``vi`` along edges of R(ec) & es (all lanes at vi)."""
+    of ``seed`` for which x reaches ``vi`` along edges of R(ec) & es
+    (back[vi] = ``seed``, all lanes by default)."""
     eto = g._eto
     out_mask = g._out_mask
     stage_vertices = g._stage_vertices
     back = [0] * len(g._vstage)
-    back[vi] = -1
+    back[vi] = seed
     for k in range(g._vstage[vi] - 1, 0, -1):
         for xi in stage_vertices[k]:
             acc = 0
@@ -275,14 +253,11 @@ def comp(
     reachable sets hold.  Later sweeps test every member.
     """
     vi = _vertex_index(g, v)
-    src = g._stage_vertices[0][0]
-    holders = r.holders
-    eto = g._eto
-    in_mask = g._in_mask
-    out_mask = g._out_mask
     stage_vertices = g._stage_vertices
+    src = stage_vertices[0][0]
+    holders = r.holders
+    in_mask = g._in_mask
     stages_back = range(g._vstage[vi] - 1, 0, -1)
-    nv = len(g._vstage)
     working = es if start is None else start
     if working & ~es:
         raise AbnormalTerminationError("comp start lies outside its edge set")
@@ -307,22 +282,12 @@ def comp(
             raise AbnormalTerminationError(f"comp exceeded {bound} sweeps")
         before = working
         # val[x]: the tested members whose reachable set, cut down to the
-        # working set, carries a path from x to v; one backward pass
-        val = [0] * nv
-        val[vi] = lanes
+        # working set, carries a path from x to v
+        val = _backward_lanes(g, holders, working & support, vi, lanes)
         alive = working & in_mask[vi]  # members ending at v are exempt
-        walk = working & support
         for k in stages_back:
             for xi in stage_vertices[k]:
-                acc = 0
-                m = walk & out_mask[xi]
-                while m:
-                    low = m & -m
-                    f = low.bit_length() - 1
-                    m ^= low
-                    acc |= holders[f] & val[eto[f]]
-                val[xi] = acc
-                alive |= acc & in_mask[xi]
+                alive |= val[xi] & in_mask[xi]
         working &= alive | ~lanes  # untested members stay
         if working != before or not tidied:  # tidy is idempotent
             working = _tidy_idx(g, working, src, vi)

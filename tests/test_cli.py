@@ -161,6 +161,29 @@ def test_fuzz_default_out_from_environment(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "env-out" / "report.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "instances = -5",
+        "stages_min = 9\nstages_max = 4",
+        "stages_min = 0",
+        "width_max = 0",
+        "eset_densities = 1.5",
+        "edge_density = -0.1",
+        "oracle_max_nodes = 0",
+        "workers = 0",
+        "minimize_budget = 0",
+    ],
+)
+def test_fuzz_bad_campaign_config_exits_format_error(capsys, tmp_path, lines):
+    config = tmp_path / "campaign.cfg"
+    config.write_text(lines + "\n")
+    status, _, err = run_cli(capsys, "fuzz", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert status == EXIT_FORMAT
+    assert "bad campaign config" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_minimize_rejects_non_counterexample(capsys):
     status, _, err = run_cli(capsys, "minimize", str(FIXTURES / "chain_c.msp"))
     assert status == EXIT_INVALID
@@ -181,6 +204,13 @@ def test_bench_smoke(capsys):
     status, out, _ = run_cli(capsys, "bench", "--widths", "2,3", "--stages", "4", "--reps", "1")
     assert status == EXIT_OK
     assert "slope" in out
+
+
+@pytest.mark.parametrize("flag,value", [("--widths", "2,x"), ("--reps", "0")])
+def test_bench_bad_input_exits_format_error(capsys, flag, value):
+    status, _, err = run_cli(capsys, "bench", "--widths", "2,3", "--stages", "3", flag, value)
+    assert status == EXIT_FORMAT
+    assert "bad bench input" in err
 
 
 def test_exit_codes_for_bad_inputs(capsys, tmp_path):

@@ -76,6 +76,10 @@ def test_structurally_equal_graphs_share_bytes(chain_c):
         ("msp 1\nstages 1\nvertex S 0\nvertex D 1\neset D\neset D\n", "E_DUPLICATE_ESET"),
         ("msp 1\nstages 1\nvertex S 0\nvertex D 1\nedge 0 S D 1\nedge 0 S D 1\n", "E_DUPLICATE_EDGE"),
         ("msp 1\nstages x\n", "E_BAD_INT"),
+        ("msp 1\nstages \u0663\n", "E_BAD_INT"),
+        ("msp 1\nstages \uff13\n", "E_BAD_INT"),
+        ("msp 1\nstages +3\n", "E_BAD_INT"),
+        ("msp 1\nstages 1_0\n", "E_BAD_INT"),
         ("msp 1\nstages 1\nvertex S 0\nvertex D 1\nedge 0 S Q 1\n", "E_STRUCTURE"),
         ("msp 1\nstages 99999999999\nvertex S 0\n", "E_TOO_LARGE"),
         (f"msp 1\nstages {MAX_COUNT + 1}\n", "E_TOO_LARGE"),
@@ -138,6 +142,13 @@ def test_ugraph_headerless_and_isolated_vertices():
         ("1 1\n", "E_SELF_LOOP"),
         ("0 2\n", "E_BAD_VERTEX"),
         ("a b\n", "E_BAD_INT"),
+        ("1 +2\n", "E_BAD_INT"),
+        ("vertices \u0663\n", "E_BAD_INT"),
+        ("vertices 2\nvertices 2\n1 2\n", "E_DUPLICATE_VERTICES"),
+        ("vertices 3\n1 5\n", "E_BAD_VERTEX"),
+        ("1 5\nvertices 3\n", "E_BAD_VERTEX"),
+        ("vertices -4\n1 2\n", "E_BAD_VERTEX"),
+        ("vertices 0\n", "E_BAD_VERTEX"),
         ("vertices 99999999999\n", "E_TOO_LARGE"),
         (f"1 2\n1 {MAX_COUNT + 1}\n", "E_TOO_LARGE"),
     ],
