@@ -124,8 +124,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = _load_instance(args.instance)
     budget = SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
+    try:
+        budget.check()
+    except ValueError as exc:
+        raise _CliFailure(EXIT_FORMAT, f"bad search budget: {exc}") from exc
+    g = _load_instance(args.instance)
     result = oracle_simple_path(g, budget)
     witness = " ".join(result.witness) if result.witness else None
     _emit(
@@ -199,8 +203,11 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
+    try:
+        predicate = counterexample_predicate(args.oracle_max_nodes)
+    except ValueError as exc:
+        raise _CliFailure(EXIT_FORMAT, f"bad search budget: {exc}") from exc
     g = _load_instance(args.instance)
-    predicate = counterexample_predicate(args.oracle_max_nodes)
     if not predicate(g):
         raise _CliFailure(
             EXIT_INVALID, "instance is not a candidate counterexample (need solver YES, search NO)"

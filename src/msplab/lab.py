@@ -454,6 +454,7 @@ def counterexample_predicate(oracle_max_nodes: int):
     """Predicate that holds on a candidate counterexample: solver YES, and
     exhaustive search within ``oracle_max_nodes`` expansions NO."""
     budget = SearchBudget(max_nodes=oracle_max_nodes)
+    budget.check()
 
     def predicate(g: MultistageGraph) -> bool:
         if zh_solve(g).answer != YES:
@@ -625,10 +626,10 @@ def bench_scaling(
     eset_density: float = 0.5,
 ) -> tuple[list[dict], float]:
     """Solve a family of growing width and fit a log-log slope of wall time
-    against edge count."""
+    against edge count; the widths must give at least two edge counts."""
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    rows = []
+    family = []
     for width in widths:
         shape = GenShape(
             stages=stages,
@@ -637,7 +638,11 @@ def bench_scaling(
             eset_density=eset_density,
             seed=seed,
         )
-        g = gen_msp(shape)
+        family.append((width, gen_msp(shape)))
+    if len({g.edge_count for _, g in family}) < 2:
+        raise ValueError("a slope needs widths giving at least two distinct edge counts")
+    rows = []
+    for width, g in family:
         times = []
         for _ in range(reps):
             t0 = time.perf_counter()

@@ -9,10 +9,11 @@
   Each sweep tests every member at once with the lane tables' backward
   pass (``_backward_lanes``) from the target over the transposed map
   ``ReachMap.holders``, seeded with the tested members as bit lanes
-  (multi-source traversal after Then et al., PVLDB 8(4), 2014).
-  Its result is the greatest fixpoint of a monotone, deflationary step, so
-  once the reachable sets shrink, the new result lies inside the old one
-  (Tarski, Pacific J. Math. 5(2), 1955): ``start=`` resumes from an earlier
+  (multi-source traversal after Then et al., PVLDB 8(4), 2014); member f
+  passes iff the pass carries lane f to f's head.  Its result is the
+  greatest fixpoint of a monotone, deflationary step, so once the
+  reachable sets shrink, the new result lies inside the old one (Tarski,
+  Pacific J. Math. 5(2), 1955): ``start=`` resumes from an earlier
   result.  A member's test reads only its own reachable set and the working
   set, so after a shrink only the members whose reachable sets lost a bit
   inside that result can fail; ``lanes=`` names them, and the first sweep
@@ -25,7 +26,14 @@
   one forward and one backward pass over ``holders`` with every edge ec as
   a bit lane give tidy(R(ec) & es, head(ec), b) for all ec at once.
   ``OperatorCaches.mid_tidy`` keeps one pair of tables per target, which
-  the solver's re-limit step reads too.
+  the solver's re-limit step reads too.  Edge ids ascend by stage, so each
+  pass is one walk over the set bits of es, ascending forward and
+  descending backward.  The keep-guard asks whether comp(tidy(T, source,
+  u), u) is empty for an anchor set T.  The step that ``comp`` iterates
+  does not depend on its input set, so a nonempty result W found at u that
+  is still a fixpoint lies inside comp of every set holding it (Tarski
+  again): a T that holds such a W passes without a ``comp`` lookup
+  (``OperatorCaches.fixpoints``).
 
 Two conventions the operator definitions leave open are pinned here:
 
@@ -94,21 +102,29 @@ def _tidy_idx(g: MultistageGraph, es: int, ui: int, vi: int) -> int:
 
 def _forward_lanes(g: MultistageGraph, holders: list[int], es: int, vi: int) -> list[int]:
     """fwd[x] for the vertices x of stages 1 .. stage(vi)-1: the lanes ec
-    (one per edge) whose head reaches x along edges of R(ec) & es."""
+    (one per edge) whose head reaches x along edges of R(ec) & es; 0
+    elsewhere.
+
+    Edge ids ascend by stage, so one ascending walk over the edges of ``es``
+    into those stages finishes every fwd[x] before an edge leaves x.
+    Stage-1 edges leave the source, which no lane reaches.
+    """
+    stage = g._vstage[vi]
+    n = len(g._vstage)
+    if stage < 2:
+        return [0] * n
+    lo = g._stage_vertices[stage][0]  # vertex indices ascend by stage
+    fwd = list(g._in_mask[:lo])  # lanes whose head is x
+    fwd += [0] * (n - lo)
     efrom = g._efrom
-    in_mask = g._in_mask
-    stage_vertices = g._stage_vertices
-    fwd = [0] * len(g._vstage)
-    for k in range(1, g._vstage[vi]):
-        for xi in stage_vertices[k]:
-            acc = in_mask[xi]  # lanes whose head is x
-            m = es & acc
-            while m:
-                low = m & -m
-                f = low.bit_length() - 1
-                m ^= low
-                acc |= holders[f] & fwd[efrom[f]]
-            fwd[xi] = acc
+    eto = g._eto
+    stage_end = g._stage_end
+    m = es & (1 << stage_end[stage - 1]) - (1 << stage_end[1])
+    while m:
+        low = m & -m
+        f = low.bit_length() - 1
+        m ^= low
+        fwd[eto[f]] |= holders[f] & fwd[efrom[f]]
     return fwd
 
 
@@ -117,22 +133,25 @@ def _backward_lanes(
 ) -> list[int]:
     """back[x] for the vertices x of stages 1 .. stage(vi)-1: the lanes ec
     of ``seed`` for which x reaches ``vi`` along edges of R(ec) & es
-    (back[vi] = ``seed``, all lanes by default)."""
-    eto = g._eto
-    out_mask = g._out_mask
-    stage_vertices = g._stage_vertices
+    (back[vi] = ``seed``, all lanes by default; 0 elsewhere).
+
+    Edge ids ascend by stage, so one descending walk over the edges of
+    ``es`` out of those stages finishes every back[x] before an edge enters
+    x.
+    """
+    stage = g._vstage[vi]
     back = [0] * len(g._vstage)
     back[vi] = seed
-    for k in range(g._vstage[vi] - 1, 0, -1):
-        for xi in stage_vertices[k]:
-            acc = 0
-            m = es & out_mask[xi]
-            while m:
-                low = m & -m
-                f = low.bit_length() - 1
-                m ^= low
-                acc |= holders[f] & back[eto[f]]
-            back[xi] = acc
+    if stage < 2:
+        return back
+    efrom = g._efrom
+    eto = g._eto
+    stage_end = g._stage_end
+    m = es & ((1 << stage_end[stage - 1]) - (1 << stage_end[1]) | g._in_mask[vi])
+    while m:
+        f = m.bit_length() - 1
+        m ^= 1 << f
+        back[efrom[f]] |= holders[f] & back[eto[f]]
     return back
 
 
@@ -253,11 +272,9 @@ def comp(
     reachable sets hold.  Later sweeps test every member.
     """
     vi = _vertex_index(g, v)
-    stage_vertices = g._stage_vertices
-    src = stage_vertices[0][0]
+    src = g._stage_vertices[0][0]
     holders = r.holders
-    in_mask = g._in_mask
-    stages_back = range(g._vstage[vi] - 1, 0, -1)
+    eto = g._eto
     working = es if start is None else start
     if working & ~es:
         raise AbnormalTerminationError("comp start lies outside its edge set")
@@ -284,11 +301,16 @@ def comp(
         # val[x]: the tested members whose reachable set, cut down to the
         # working set, carries a path from x to v
         val = _backward_lanes(g, holders, working & support, vi, lanes)
-        alive = working & in_mask[vi]  # members ending at v are exempt
-        for k in stages_back:
-            for xi in stage_vertices[k]:
-                alive |= val[xi] & in_mask[xi]
-        working &= alive | ~lanes  # untested members stay
+        # a tested member f passes iff its head carries lane f; val[v] holds
+        # every lane, so members ending at v are exempt
+        dead = 0
+        m = lanes
+        while m:
+            low = m & -m
+            m ^= low
+            if not val[eto[low.bit_length() - 1]] & low:
+                dead |= low
+        working &= ~dead  # untested members stay
         if working != before or not tidied:  # tidy is idempotent
             working = _tidy_idx(g, working, src, vi)
             tidied = True
@@ -311,13 +333,15 @@ def change(
     if some earlier-stage edge set T anchors it: T holds the edges whose
     reachable sets (cut down to the member's head vertex) witness a path
     carrying both ``e`` and the member, and T, tidied to source -> e.src and
-    contracted at e.src, must be nonempty.  After each sweep the set is
-    tidied from e's head to the sink.  Repeats until stable and writes the
-    result back into ``r``.
+    contracted at e.src, must be nonempty.  A T that holds a nonempty
+    contraction result already found at e.src, and still a fixpoint there,
+    passes without contracting; a nonempty contraction joins those results.
+    After each sweep the set is tidied from e's head to the sink.  Repeats
+    until stable and writes the result back into ``r``.
 
     ``caches`` supplies the current per-vertex edge sets and shares
-    contraction results and lane tables across calls within one solver run
-    (defaults to fresh caches over the graph's own edge sets).
+    contraction results, found fixpoints and lane tables across calls within
+    one solver run (defaults to fresh caches over the graph's own edge sets).
     """
     eid = e.id if isinstance(e, EdgeRef) else e
     if caches is None:
@@ -340,6 +364,7 @@ def change(
     lanes_hi = g._stage_end[stage - 1]  # the anchors: edge ids with stage < stage
     earlier = (1 << lanes_hi) - 1
     ebit = 1 << eid
+    found = caches.fixpoints(ui)  # r changes only at e's entry below, so found stays valid
     while True:
         sweeps += 1
         if sweeps > bound:
@@ -370,8 +395,19 @@ def change(
                     kbit = 1 << kid
                     # T: the anchors whose tidied set also holds the member
                     t_mask = anchored & holders[kid] & fwd[efrom[kid]] if ceb & kbit else 0
-                    if not t_mask or not caches.comp_value(caches.source_tidy(t_mask, ui), ui):
+                    if not t_mask:
                         dels |= kbit
+                        continue
+                    for w in found:
+                        if w & t_mask == w:  # a fixpoint inside T: the guard holds
+                            caches.guard_certified += 1
+                            break
+                    else:
+                        w = caches.comp_value(caches.source_tidy(t_mask, ui), ui)
+                        if w:
+                            found.append(w)
+                        else:
+                            dels |= kbit
             cur &= ~dels
         cur = _tidy_idx(g, cur, vi, sink)
         if cur == before:
@@ -404,6 +440,11 @@ class OperatorCaches:
     with none the result stands, otherwise ``comp`` re-runs from the result
     testing those lanes first (``start``, ``lanes``).  Source tidies of
     anchor sets depend on the graph alone and are memoized outright.
+
+    Per vertex it also keeps the nonempty ``comp`` results that ``change``'s
+    keep-guards found there (``fixpoints``), validated like the lane tables:
+    by ``r.bits_deleted``, or else by the entries of the edges up to the
+    vertex's stage, the only ones a result there reads.
     """
 
     __slots__ = (
@@ -417,6 +458,8 @@ class OperatorCaches:
         "comp_warm",
         "comp_settled",
         "comp_hits",
+        "_found",
+        "guard_certified",
     )
 
     def __init__(self, graph: MultistageGraph, r: ReachMap, esets: list[int]):
@@ -434,6 +477,10 @@ class OperatorCaches:
         self.comp_warm = 0  # the runs of comp that started from a cached result
         self.comp_settled = 0  # stale entries that had no dirty lane
         self.comp_hits = 0
+        # vi -> [nonempty comp results found at vi, r.bits_deleted when last
+        #        valid, entries[:hi] when found]
+        self._found: dict[int, list] = {}
+        self.guard_certified = 0  # change keep-guards answered from _found
 
     def comp_value(self, es: int, vi: int) -> int:
         r = self.r
@@ -494,6 +541,27 @@ class OperatorCaches:
         tables = (_forward_lanes(g, r.holders, es, bi), _backward_lanes(g, r.holders, es, bi))
         self._lanes[bi] = [tables, es, r.bits_deleted, r.entries[:hi]]
         return tables
+
+    def fixpoints(self, vi: int) -> list[int]:
+        """The nonempty ``comp`` results found at vertex ``vi`` that are
+        still fixpoints of its step; callers append the ones they find.
+
+        A member's test reads only its own entry, and every member of a
+        result at ``vi`` is an edge of a stage up to stage(``vi``), so the
+        list stays exact while the entries of those edges do.
+        """
+        r = self.r
+        g = self.graph
+        hit = self._found.get(vi)
+        if hit is not None:
+            if hit[1] == r.bits_deleted:
+                return hit[0]
+            if r.entries[: len(hit[2])] == hit[2]:
+                hit[1] = r.bits_deleted
+                return hit[0]
+        found: list[int] = []
+        self._found[vi] = [found, r.bits_deleted, r.entries[: g._stage_end[g._vstage[vi]]]]
+        return found
 
     def source_tidy(self, es: int, vi: int) -> int:
         """tidy(es, source, vi), memoized."""

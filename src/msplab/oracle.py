@@ -33,6 +33,12 @@ class SearchBudget:
     max_nodes: int = 10_000_000
     max_seconds: float | None = None
 
+    def check(self) -> None:
+        if self.max_nodes < 1:
+            raise ValueError("max_nodes must be at least 1")
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise ValueError("max_seconds must be at least 0")
+
 
 @dataclass
 class OracleResult:

@@ -175,6 +175,7 @@ def zh_solve(
             "comp_warm": caches.comp_warm,
             "comp_settled": caches.comp_settled,
             "comp_cache_hits": caches.comp_hits,
+            "guard_certified": caches.guard_certified,
             "limit": limit_ops,
         },
         edges_deleted=r.bits_deleted,

@@ -206,11 +206,43 @@ def test_bench_smoke(capsys):
     assert "slope" in out
 
 
-@pytest.mark.parametrize("flag,value", [("--widths", "2,x"), ("--reps", "0")])
+@pytest.mark.parametrize(
+    "flag,value", [("--widths", "2,x"), ("--reps", "0"), ("--widths", "3"), ("--widths", "3,3")]
+)
 def test_bench_bad_input_exits_format_error(capsys, flag, value):
-    status, _, err = run_cli(capsys, "bench", "--widths", "2,3", "--stages", "3", flag, value)
+    """One edge count has no slope: it exits 4 instead of printing one."""
+    status, out, err = run_cli(capsys, "bench", "--widths", "2,3", "--stages", "3", flag, value)
     assert status == EXIT_FORMAT
     assert "bad bench input" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--max-nodes", "0"],
+        ["oracle", "--max-nodes", "-1"],
+        ["oracle", "--max-seconds", "-1"],
+        ["oracle", "--max-seconds", "nan"],
+        ["minimize", "--oracle-max-nodes", "0"],
+    ],
+)
+def test_bad_search_budget_exits_format_error(capsys, argv):
+    """A budget that cannot search is an input error, not a TIMEOUT or a
+    verdict on the instance."""
+    status, out, err = run_cli(capsys, *argv, str(FIXTURES / "chain_c.msp"))
+    assert status == EXIT_FORMAT
+    assert "bad search budget" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "flag,value,answer", [("--max-nodes", "1", "TIMEOUT"), ("--max-seconds", "0", "YES")]
+)
+def test_smallest_search_budgets_are_accepted(capsys, flag, value, answer):
+    status, out, _ = run_cli(capsys, "oracle", flag, value, str(FIXTURES / "chain_c.msp"))
+    assert status == EXIT_OK
+    assert out.splitlines()[0] == answer
 
 
 def test_exit_codes_for_bad_inputs(capsys, tmp_path):

@@ -9,6 +9,8 @@ from msplab.lab import gen_ugraph
 from msplab.model import AbnormalTerminationError, edge_ids, edge_set, validate
 from msplab.operators import (
     OperatorCaches,
+    _backward_lanes,
+    _forward_lanes,
     change,
     comp,
     init_all,
@@ -500,6 +502,151 @@ def test_change_matches_reference_as_entries_shrink():
                 drop = 1 << rnd.choice(edge_ids(r.get(other)))
                 r.set_entry(other, r.get(other) & ~drop)
     assert kept > 100
+
+
+# Two routes from a to u; e = u->v reaches D through v, and u->v' is a
+# second way on to D that keeps the anchors' rivals alive in comp(D).
+POOL_VERTICES = [("S", 0), ("a", 1), ("c", 2), ("c2", 2), ("u", 3), ("v", 4), ("v2", 4), ("D", 5)]
+POOL_EDGES = [
+    ("S", "a", 1),
+    ("a", "c", 2),
+    ("a", "c2", 2),
+    ("c", "u", 3),
+    ("c2", "u", 3),
+    ("u", "v", 4),
+    ("u", "v2", 4),
+    ("v", "D", 5),
+    ("v2", "D", 5),
+]
+
+
+def test_change_forgets_found_fixpoints_once_their_entries_shrink():
+    """``change`` answers a keep-guard from a fixpoint found earlier at the
+    same vertex only while the entries it read stand.
+
+    For e = u->v the anchors of v->D are S->a, a->c and c->u (R(a->c2) and
+    R(c2->u) miss u->v), and their source tidy W = {S->a, a->c, c->u} is a
+    fixpoint at u.  Once R(S->a) loses c->u, S->a still anchors v->D through
+    c2, so the anchor set still holds W, but W fails at u and the guard's
+    comp is empty: v->D must go.  A pool that kept W would keep it.
+    """
+    g = mk_graph(
+        5, POOL_VERTICES, POOL_EDGES, {name: POOL_EDGES for name, stage in POOL_VERTICES if stage}
+    )
+    rg = ref.RefGraph(g)
+    r = init_all(g)
+    names = g.vertex_names()
+    caches = OperatorCaches(g, r, [g.eset(name) if vi else 0 for vi, name in enumerate(names)])
+    for lane, lost in [
+        (("a", "c2", 2), [("u", "v", 4), ("v", "D", 5)]),
+        (("c2", "u", 3), [("u", "v", 4), ("v", "D", 5)]),
+    ]:
+        lid = g.edge_id(*lane)
+        assert r.set_entry(lid, r.get(lid) & ~mask_of(g, lost))
+    e = g.edge_id("u", "v", 4)
+    results = []
+    for lost in [None, ("c", "u", 3)]:
+        if lost is not None:
+            lid = g.edge_id("S", "a", 1)
+            assert r.set_entry(lid, r.get(lid) & ~mask_of(g, [lost]))
+        reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
+        want = ref.change_ref(rg, reach, g.edge_triple(e))
+        results.append(triples_of(g, change(r, e, g, caches)))
+        assert results[-1] == want, lost
+    assert results == [{("v", "D", 5)}, set()]
+    w = mask_of(g, [("S", "a", 1), ("a", "c", 2), ("c", "u", 3)])
+    assert caches.comp_value(w, names.index("u")) == 0
+
+
+def test_found_fixpoints_certify_every_superset():
+    """The lemma behind ``change``'s pool of found fixpoints: for a nonempty
+    W = comp(X, u) under the current entries and any T that holds W,
+    comp(tidy(T, source, u), u) holds W too."""
+    import random
+
+    graphs = [random_graph(seed, stages=3 + seed % 4, eset_p=2.0) for seed in range(30)]
+    graphs += [reduce_hc_to_msp(gen_ugraph(5, 0.6, seed))[0] for seed in range(4)]
+    certified = 0
+    for gi, g in enumerate(graphs):
+        rnd = random.Random(6000 + gi)
+        r = init_all(g)
+        source, *targets = g.vertex_names()
+        for _ in range(12):
+            name = rnd.choice(targets)
+            x = g.full_mask if rnd.random() < 0.5 else rnd.randrange(g.full_mask + 1)
+            w = comp(x, name, r, g)
+            for _ in range(4 if w else 0):
+                t = w | rnd.randrange(g.full_mask + 1)
+                got = comp(tidy(t, source, name, g), name, r, g)
+                assert got & w == w, (gi, name, edge_ids(w), edge_ids(t))
+                certified += 1
+            held = [eid for eid, m in enumerate(r.entries) if m]
+            if held:
+                eid = rnd.choice(held)
+                r.set_entry(eid, r.get(eid) & ~(1 << rnd.choice(edge_ids(r.get(eid)))))
+    assert certified > 200
+
+
+# -- lane passes -----------------------------------------------------------
+
+
+def test_lane_passes_match_their_definition():
+    """``_forward_lanes`` and ``_backward_lanes`` walk edges, not vertices.
+    Against the definition, vertex by vertex over the stages 1 .. stage(v)-1:
+    fwd[x] holds the lanes ec whose head reaches x along R(ec) & es, back[x]
+    the lanes ec of the seed for which x reaches v along R(ec) & es;
+    back[v] is the seed, and every other vertex holds no lane."""
+    import random
+
+    def reached(g, allowed, start, forward):
+        """Vertices reached from ``start`` along ``allowed`` edges, forward
+        or backward."""
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            for f in edge_ids(allowed):
+                a, b = g.edge(f).src.name, g.edge(f).dst.name
+                if not forward:
+                    a, b = b, a
+                if a == x and b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+        return seen
+
+    graphs = [
+        random_graph(seed, stages=3 + seed % 5, max_width=4, eset_p=2.0) for seed in range(30)
+    ]
+    graphs += [reduce_hc_to_msp(gen_ugraph(4 + seed % 2, 0.6, seed))[0] for seed in range(4)]
+    checked = 0
+    for gi, g in enumerate(graphs):
+        rnd = random.Random(7000 + gi)
+        r = init_all(g)
+        for eid, m in enumerate(r.entries):
+            if m and rnd.random() < 0.3:
+                r.set_entry(eid, m & rnd.randrange(g.full_mask + 1))
+        names = g.vertex_names()
+        for _ in range(5):
+            vi = rnd.randrange(len(names))
+            vstage = g.vertex(names[vi]).stage
+            es = g.full_mask if rnd.random() < 0.3 else rnd.randrange(g.full_mask + 1)
+            seed = -1 if rnd.random() < 0.5 else rnd.randrange(g.full_mask + 1)
+            fwd = _forward_lanes(g, r.holders, es, vi)
+            back = _backward_lanes(g, r.holders, es, vi, seed)
+            lanes = range(g.edge_count)
+            heads = [reached(g, r.get(ec) & es, g.edge(ec).dst.name, True) for ec in lanes]
+            tails = [reached(g, r.get(ec) & es, names[vi], False) for ec in lanes]
+            for xi, x in enumerate(names):
+                want_fwd = want_back = 0
+                if 1 <= g.vertex(x).stage < vstage:
+                    want_fwd = edge_set(ec for ec in lanes if x in heads[ec])
+                    want_back = edge_set(ec for ec in edge_ids(seed & g.full_mask) if x in tails[ec])
+                elif xi == vi:
+                    want_back = seed
+                assert fwd[xi] == want_fwd, (gi, names[vi], x)
+                assert back[xi] == want_back, (gi, names[vi], x)
+                checked += bool(want_fwd) + bool(want_back)
+    assert checked > 500
 
 
 # -- reach map -------------------------------------------------------------

@@ -232,3 +232,6 @@ def test_metrics_count_warm_started_comp_runs():
     calls = zh_solve(g).metrics.operator_calls
     assert 0 < calls["comp_warm"] <= calls["comp"]
     assert 0 < calls["comp_settled"] <= calls["comp_cache_hits"]
+    # keep-guards of change answered by a fixpoint found earlier, with no
+    # comp lookup
+    assert 0 < calls["guard_certified"]
