@@ -194,7 +194,12 @@ def _cmd_fuzz(args) -> int:
     except ValueError as exc:
         raise _CliFailure(EXIT_FORMAT, f"bad campaign config: {exc}") from exc
     out_dir = args.out or os.environ.get(ARCHIVE_ENV)
-    report = run_differential(config, out_dir=out_dir, resume=args.resume)
+    try:
+        report = run_differential(config, out_dir=out_dir, resume=args.resume)
+    except OSError as exc:
+        raise _CliFailure(EXIT_FILE, f"cannot write campaign output: {exc}") from exc
+    except ValueError as exc:  # the config is checked, so only a checkpoint is bad
+        raise _CliFailure(EXIT_FORMAT, f"cannot resume campaign: {exc}") from exc
     if args.machine:
         print(json.dumps({"command": "fuzz", **report.comparable()}, sort_keys=True))
     else:
@@ -203,6 +208,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
+    if args.budget < 1:
+        raise _CliFailure(EXIT_FORMAT, f"bad budget: {args.budget} is below 1")
     try:
         predicate = counterexample_predicate(args.oracle_max_nodes)
     except ValueError as exc:

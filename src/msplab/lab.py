@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import parse_instance, serialize_instance
+from .formats import MAX_COUNT, parse_instance, serialize_instance
 from .model import MultistageGraph, edge_ids, validate
 from .oracle import TIMEOUT, SearchBudget, oracle_simple_path
 from .reduction import UndirectedGraph
@@ -68,8 +68,8 @@ class GenShape:
     seed: int
 
     def check(self) -> None:
-        if self.stages < 1:
-            raise ValueError("need at least one stage")
+        if not 1 <= self.stages <= MAX_COUNT:
+            raise ValueError(f"need 1 to {MAX_COUNT} stages")
         if len(self.widths) != self.stages + 1:
             raise ValueError(f"widths must have length {self.stages + 1}")
         if self.widths[0] != 1 or self.widths[-1] != 1:
@@ -141,8 +141,8 @@ def gen_msp(shape: GenShape) -> MultistageGraph:
 
 def gen_ugraph(n: int, q: float, seed: int) -> UndirectedGraph:
     """Each vertex pair present independently with probability q."""
-    if n < 3:
-        raise ValueError("need at least 3 vertices")
+    if not 3 <= n <= MAX_COUNT:
+        raise ValueError(f"need 3 to {MAX_COUNT} vertices")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"edge probability {q} outside [0, 1]")
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
@@ -321,8 +321,8 @@ class CampaignConfig:
     def check(self) -> None:
         if self.instances < 0:
             raise ValueError("instances must be at least 0")
-        if not 1 <= self.stages_min <= self.stages_max:
-            raise ValueError("need 1 <= stages_min <= stages_max")
+        if not 1 <= self.stages_min <= self.stages_max <= MAX_COUNT:
+            raise ValueError(f"need 1 <= stages_min <= stages_max <= {MAX_COUNT}")
         if self.width_max < 1:
             raise ValueError("width_max must be at least 1")
         if not self.eset_densities:
@@ -506,10 +506,11 @@ def run_differential(
     With ``out_dir`` set, every non-agreeing verdict is archived (instance,
     both solver outputs, metadata; candidate counterexamples also get a
     minimized variant), progress is checkpointed so an interrupted campaign
-    resumes from the last completed chunk, and the final report is written as
-    both a table and line-delimited records.  Parallel and serial runs
-    produce identical reports because instances are independent and merged in
-    seed order.
+    resumes from the last completed chunk (a checkpoint of another config,
+    or one that does not parse, raises ``ValueError``), and the final report
+    is written as both a table and line-delimited records.  Parallel and
+    serial runs produce identical reports because instances are independent
+    and merged in seed order.
     """
     started = time.perf_counter()
     out_path = Path(out_dir) if out_dir is not None else None
@@ -524,7 +525,10 @@ def run_differential(
         out_path.mkdir(parents=True, exist_ok=True)
         progress = _progress_path(out_path)
         if resume and progress.exists():
-            state = json.loads(progress.read_text(encoding="utf-8"))
+            try:
+                state = json.loads(progress.read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"unreadable progress file {progress}: {exc}") from exc
             if state["config"] != config_echo:
                 raise ValueError("resume requested with a different configuration")
             totals.update(state["totals"])

@@ -18,9 +18,8 @@
   set, so after a shrink only the members whose reachable sets lost a bit
   inside that result can fail; ``lanes=`` names them, and the first sweep
   tests those alone (semi-naive evaluation, Bancilhon & Ramakrishnan,
-  SIGMOD 1986).  ``OperatorCaches.comp_value`` settles a stale entry with
-  no such member without a run and re-runs the others that way.  A sweep
-  that deletes nothing from a set already tidy skips the tidy step.
+  SIGMOD 1986).  A sweep that deletes nothing from a set already tidy
+  skips the tidy step.
 * ``change`` contracts one reachable set against all the others until stable.
   Its anchors come from lane tables: for a target vertex b and edge set es,
   one forward and one backward pass over ``holders`` with every edge ec as
@@ -28,12 +27,13 @@
   ``OperatorCaches.mid_tidy`` keeps one pair of tables per target, which
   the solver's re-limit step reads too.  Edge ids ascend by stage, so each
   pass is one walk over the set bits of es, ascending forward and
-  descending backward.  The keep-guard asks whether comp(tidy(T, source,
-  u), u) is empty for an anchor set T.  The step that ``comp`` iterates
-  does not depend on its input set, so a nonempty result W found at u that
-  is still a fixpoint lies inside comp of every set holding it (Tarski
-  again): a T that holds such a W passes without a ``comp`` lookup
-  (``OperatorCaches.fixpoints``).
+  descending backward.  The keep-guard asks whether comp(T, u) is empty
+  for an anchor set T.  ``comp``'s step does not depend on its input set
+  and ends with the source tidy, so every fixpoint inside T lies inside
+  tidy(T, source, u): the guard tidies nothing first, and a nonempty
+  result W found at u that is still a fixpoint lies inside comp(T, u)
+  whenever T holds W (Tarski again), so such a T passes with no ``comp``
+  lookup (``OperatorCaches.fixpoints``).
 
 Two conventions the operator definitions leave open are pinned here:
 
@@ -175,14 +175,15 @@ class ReachMap:
     ``entries[e]`` is the reachable set of edge e and ``holders[f]`` its
     transpose: the edges whose reachable set contains f.  Entries only ever
     shrink after initialization, so ``bits_deleted`` (the bits removed so
-    far) grows on every change, an entry that changed never returns to an
-    earlier value, and keeping ``holders`` current costs at most the size of
-    the initial map over a whole run.
+    far) grows on every change, and keeping ``holders`` current costs at
+    most the size of the initial map over a whole run.  ``stamps[k]`` is
+    ``bits_deleted`` after the last change to an entry of stage k
+    (``estage[e]`` is edge e's stage), which ``unchanged_through`` reads.
     """
 
-    __slots__ = ("entries", "holders", "bits_deleted")
+    __slots__ = ("entries", "holders", "bits_deleted", "estage", "stamps")
 
-    def __init__(self, entries: list[int]):
+    def __init__(self, entries: list[int], estage: tuple[int, ...]):
         self.entries = entries
         holders = [0] * len(entries)
         for eid, mask in enumerate(entries):
@@ -193,6 +194,8 @@ class ReachMap:
                 mask ^= low
         self.holders = holders
         self.bits_deleted = 0
+        self.estage = estage
+        self.stamps = [0] * (max(estage, default=0) + 1)
 
     def get(self, e: EdgeRef | int) -> EdgeSet:
         return self.entries[e.id if isinstance(e, EdgeRef) else e]
@@ -206,6 +209,7 @@ class ReachMap:
         self.entries[eid] = mask
         removed = old & ~mask
         self.bits_deleted += removed.bit_count()
+        self.stamps[self.estage[eid]] = self.bits_deleted
         holders = self.holders
         ebit = 1 << eid
         while removed:
@@ -213,6 +217,11 @@ class ReachMap:
             holders[low.bit_length() - 1] ^= ebit
             removed ^= low
         return True
+
+    def unchanged_through(self, k: int, t: int) -> bool:
+        """Whether no entry of an edge of stage <= ``k`` changed since
+        ``bits_deleted`` was ``t``."""
+        return t == self.bits_deleted or max(self.stamps[: k + 1]) <= t
 
 
 def init_all(g: MultistageGraph) -> ReachMap:
@@ -239,7 +248,7 @@ def init_all(g: MultistageGraph) -> ReachMap:
             both ^= low
     sink = g._stage_vertices[g.stage_count][0]
     entries = [_tidy_idx(g, collected[e], eto[e], sink) for e in range(m)]
-    return ReachMap(entries)
+    return ReachMap(entries, g._estage)
 
 
 def comp(
@@ -332,10 +341,10 @@ def change(
     For each member edge of the set beyond e's stage, the member is kept only
     if some earlier-stage edge set T anchors it: T holds the edges whose
     reachable sets (cut down to the member's head vertex) witness a path
-    carrying both ``e`` and the member, and T, tidied to source -> e.src and
-    contracted at e.src, must be nonempty.  A T that holds a nonempty
-    contraction result already found at e.src, and still a fixpoint there,
-    passes without contracting; a nonempty contraction joins those results.
+    carrying both ``e`` and the member, and T contracted at e.src must be
+    nonempty.  A T that holds a nonempty contraction result already found
+    at e.src, and still a fixpoint there, passes without contracting; a
+    nonempty contraction joins those results.
     After each sweep the set is tidied from e's head to the sink.  Repeats
     until stable and writes the result back into ``r``.
 
@@ -364,7 +373,7 @@ def change(
     lanes_hi = g._stage_end[stage - 1]  # the anchors: edge ids with stage < stage
     earlier = (1 << lanes_hi) - 1
     ebit = 1 << eid
-    found = caches.fixpoints(ui)  # r changes only at e's entry below, so found stays valid
+    found = None  # caches.fixpoints(ui), fetched at the first guard
     while True:
         sweeps += 1
         if sweeps > bound:
@@ -398,12 +407,14 @@ def change(
                     if not t_mask:
                         dels |= kbit
                         continue
+                    if found is None:  # r changes only at e's entry below, so it stays valid
+                        found = caches.fixpoints(ui)
                     for w in found:
                         if w & t_mask == w:  # a fixpoint inside T: the guard holds
                             caches.guard_certified += 1
                             break
                     else:
-                        w = caches.comp_value(caches.source_tidy(t_mask, ui), ui)
+                        w = caches.comp_value(t_mask, ui)
                         if w:
                             found.append(w)
                         else:
@@ -429,22 +440,18 @@ def _reader(ids: list[int]):
 class OperatorCaches:
     """Validated result caches shared across operator calls in one run.
 
-    A cached ``comp`` result or lane table is reused only while the
-    reachable-set entries and edge-set masks it read are unchanged.  Entries
-    only shrink and never return to an earlier value, so comparing them by
-    value makes every hit exact.  A ``comp`` run from its cached result
-    reads only the entries of the result's members, so a ``comp`` entry
-    keeps an ``operator.itemgetter`` over those and the values it read, and
-    checking it is one call.  When they have changed, only the members
-    whose entries lost a bit inside the result (its dirty lanes) can fail:
-    with none the result stands, otherwise ``comp`` re-runs from the result
-    testing those lanes first (``start``, ``lanes``).  Source tidies of
-    anchor sets depend on the graph alone and are memoized outright.
-
-    Per vertex it also keeps the nonempty ``comp`` results that ``change``'s
-    keep-guards found there (``fixpoints``), validated like the lane tables:
-    by ``r.bits_deleted``, or else by the entries of the edges up to the
-    vertex's stage, the only ones a result there reads.
+    One rule judges staleness: each record notes ``r.bits_deleted`` when it
+    was last known exact and stands while ``r.unchanged_through(k, stamp)``
+    for the highest stage k whose entries it read: stage(v) for a ``comp``
+    result at v and for the fixpoints found there (``fixpoints``), the
+    highest lane's stage for lane tables (``mid_tidy``).  A stale ``comp``
+    entry is read once more: a run from its result reads only the entries
+    of the result's members, so the entry keeps an ``operator.itemgetter``
+    over those and their values.  Entries only shrink, so comparing values
+    is exact, and only the members whose entries lost a bit inside the
+    result (its dirty lanes) can fail.  With none the result stands,
+    otherwise ``comp`` re-runs from the result testing those lanes first
+    (``start``, ``lanes``).
     """
 
     __slots__ = (
@@ -453,7 +460,6 @@ class OperatorCaches:
         "esets",
         "_comp",
         "_lanes",
-        "_source_tidy",
         "comp_runs",
         "comp_warm",
         "comp_settled",
@@ -466,19 +472,16 @@ class OperatorCaches:
         self.graph = graph
         self.r = r
         self.esets = esets  # by vertex index; shared, caller-mutated
-        # (vi, es) -> [result, r.bits_deleted when last valid, ids of result,
-        #              reader of those entries, their values then]
+        # (vi, es) -> [result, stamp, ids of result, reader of those entries,
+        #              their values at the stamp]
         self._comp: dict[tuple[int, int], list] = {}
-        # bi -> [(fwd, back), es, r.bits_deleted when built, entries[:hi] when built]
-        self._lanes: dict[int, list] = {}
-        # (vi, es) -> tidy(es, source, vi)
-        self._source_tidy: dict[tuple[int, int], int] = {}
+        # bi -> ((fwd, back), es, stamp when built)
+        self._lanes: dict[int, tuple] = {}
         self.comp_runs = 0
         self.comp_warm = 0  # the runs of comp that started from a cached result
         self.comp_settled = 0  # stale entries that had no dirty lane
         self.comp_hits = 0
-        # vi -> [nonempty comp results found at vi, r.bits_deleted when last
-        #        valid, entries[:hi] when found]
+        # vi -> [nonempty comp results found at vi, stamp]
         self._found: dict[int, list] = {}
         self.guard_certified = 0  # change keep-guards answered from _found
 
@@ -491,7 +494,7 @@ class OperatorCaches:
             self._comp[vi, es] = self._comp_entry(result)
             self.comp_runs += 1
             return result
-        if hit[1] != r.bits_deleted:
+        if not r.unchanged_through(g._vstage[vi], hit[1]):
             hit[1] = r.bits_deleted
             result, _, ids, read, old = hit
             seen = read(r.entries)
@@ -526,20 +529,18 @@ class OperatorCaches:
 
         Lane ec walks R(ec) & es: f is in tidy(R(ec) & es, head(ec), bi) iff
         f is in es and bit ec is in holders[f] & fwd[efrom[f]] & back[eto[f]].
-        One pair is kept per ``bi``; a lane reads only its own entry, so the
-        pair stays exact while ``es`` and the entries below ``hi`` do.
+        One pair is kept per ``bi``, exact for every lane when built; a lane
+        reads only its own entry, so the pair stays exact below ``hi`` while
+        ``es`` and the entries of stages up to edge hi-1's do.
         """
         r = self.r
+        g = self.graph
         hit = self._lanes.get(bi)
         if hit is not None and hit[1] == es:
-            if hit[2] == r.bits_deleted:
+            if r.unchanged_through(g._estage[hi - 1] if hi else 0, hit[2]):
                 return hit[0]
-            seen = hit[3]
-            if hi <= len(seen) and r.entries[:hi] == seen[:hi]:
-                return hit[0]
-        g = self.graph
         tables = (_forward_lanes(g, r.holders, es, bi), _backward_lanes(g, r.holders, es, bi))
-        self._lanes[bi] = [tables, es, r.bits_deleted, r.entries[:hi]]
+        self._lanes[bi] = (tables, es, r.bits_deleted)
         return tables
 
     def fixpoints(self, vi: int) -> list[int]:
@@ -548,26 +549,13 @@ class OperatorCaches:
 
         A member's test reads only its own entry, and every member of a
         result at ``vi`` is an edge of a stage up to stage(``vi``), so the
-        list stays exact while the entries of those edges do.
+        list stays exact while the entries of those stages do.
         """
         r = self.r
-        g = self.graph
         hit = self._found.get(vi)
-        if hit is not None:
-            if hit[1] == r.bits_deleted:
-                return hit[0]
-            if r.entries[: len(hit[2])] == hit[2]:
-                hit[1] = r.bits_deleted
-                return hit[0]
+        if hit is not None and r.unchanged_through(self.graph._vstage[vi], hit[1]):
+            hit[1] = r.bits_deleted
+            return hit[0]
         found: list[int] = []
-        self._found[vi] = [found, r.bits_deleted, r.entries[: g._stage_end[g._vstage[vi]]]]
+        self._found[vi] = [found, r.bits_deleted]
         return found
-
-    def source_tidy(self, es: int, vi: int) -> int:
-        """tidy(es, source, vi), memoized."""
-        key = (vi, es)
-        result = self._source_tidy.get(key)
-        if result is None:
-            g = self.graph
-            result = self._source_tidy[key] = _tidy_idx(g, es, g._stage_vertices[0][0], vi)
-        return result

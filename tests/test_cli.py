@@ -9,6 +9,7 @@ import pytest
 
 from msplab import lab
 from msplab.cli import EXIT_FILE, EXIT_FORMAT, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, main
+from msplab.formats import parse_instance, parse_ugraph
 from msplab.model import AbnormalTerminationError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -173,6 +174,7 @@ def test_fuzz_default_out_from_environment(capsys, tmp_path, monkeypatch):
         "oracle_max_nodes = 0",
         "workers = 0",
         "minimize_budget = 0",
+        "stages_max = 1001",
     ],
 )
 def test_fuzz_bad_campaign_config_exits_format_error(capsys, tmp_path, lines):
@@ -182,6 +184,78 @@ def test_fuzz_bad_campaign_config_exits_format_error(capsys, tmp_path, lines):
     assert status == EXIT_FORMAT
     assert "bad campaign config" in err
     assert not (tmp_path / "out").exists()
+
+
+def run_small_campaign(capsys, tmp_path, *argv):
+    config = tmp_path / "campaign.cfg"
+    if not config.exists():
+        config.write_text("instances = 5\nstages_min = 3\nstages_max = 3\nwidth_max = 2\n")
+    return run_cli(capsys, "fuzz", "--config", str(config), "--out", str(tmp_path / "out"), *argv)
+
+
+def test_fuzz_resume_with_another_config_exits_format_error(capsys, tmp_path):
+    assert run_small_campaign(capsys, tmp_path)[0] == EXIT_OK
+    (tmp_path / "campaign.cfg").write_text("instances = 5\nstages_min = 3\nstages_max = 4\n")
+    status, out, err = run_small_campaign(capsys, tmp_path, "--resume")
+    assert status == EXIT_FORMAT
+    assert out == ""
+    assert err.strip() == (
+        "msplab: cannot resume campaign: resume requested with a different configuration"
+    )
+
+
+def test_fuzz_resume_from_a_truncated_checkpoint_exits_format_error(capsys, tmp_path):
+    assert run_small_campaign(capsys, tmp_path)[0] == EXIT_OK
+    progress = tmp_path / "out" / "progress.json"
+    progress.write_text(progress.read_text()[:20])
+    status, out, err = run_small_campaign(capsys, tmp_path, "--resume")
+    assert status == EXIT_FORMAT
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "unreadable progress file" in err
+
+
+def test_fuzz_out_naming_a_file_exits_file_error(capsys, tmp_path):
+    (tmp_path / "out").write_text("not a directory\n")
+    status, out, err = run_small_campaign(capsys, tmp_path)
+    assert status == EXIT_FILE
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "cannot write campaign output" in err
+
+
+@pytest.mark.parametrize(
+    "argv,most,too_many,parse",
+    [
+        (
+            ["gen-msp", "--eset-density", "0", "--widths"],
+            ",".join(["1"] * 1001),
+            ",".join(["1"] * 1002),
+            parse_instance,
+        ),
+        (["gen-graph", "--edge-prob", "0", "--vertices"], "1000", "1001", parse_ugraph),
+    ],
+)
+def test_generators_write_only_what_the_parsers_read(capsys, tmp_path, argv, most, too_many, parse):
+    """The largest counts the parsers accept are generated; one more is a
+    format error with no output, not a file that ``solve`` or ``reduce``
+    would reject."""
+    target = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, most, "-o", str(target))[0] == EXIT_OK
+    parse(target.read_text())
+    target.unlink()
+    status, out, err = run_cli(capsys, *argv, too_many, "-o", str(target))
+    assert status == EXIT_FORMAT
+    assert "1000" in err
+    assert out == "" and not target.exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_minimize_bad_budget_exits_format_error(capsys, budget):
+    status, out, err = run_cli(capsys, "minimize", "--budget", budget, str(FIXTURES / "chain_c.msp"))
+    assert status == EXIT_FORMAT
+    assert "bad budget" in err
+    assert out == ""
 
 
 def test_minimize_rejects_non_counterexample(capsys):

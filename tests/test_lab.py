@@ -6,7 +6,7 @@ import json
 import pytest
 
 from msplab import lab
-from msplab.formats import parse_instance, serialize_instance
+from msplab.formats import MAX_COUNT, parse_instance, serialize_instance
 from msplab.lab import (
     AGREE_NO,
     AGREE_YES,
@@ -88,6 +88,21 @@ def test_unsatisfiable_shape_rejected():
         GenShape(3, (1, 2, 1), 0.5, 0.5, seed=1).check()
     with pytest.raises(ValueError):
         GenShape(3, (2, 1, 1, 1), 0.5, 0.5, seed=1).check()
+
+
+def test_generators_stop_at_the_parsers_limit():
+    """A count above ``formats.MAX_COUNT`` would make a file the parsers
+    reject with E_TOO_LARGE, so the generators and campaigns refuse it."""
+    GenShape(MAX_COUNT, (1,) * (MAX_COUNT + 1), 0.5, 0.5, seed=1).check()
+    CampaignConfig(stages_max=MAX_COUNT).check()
+    too_many = [
+        lambda: GenShape(MAX_COUNT + 1, (1,) * (MAX_COUNT + 2), 0.5, 0.5, seed=1).check(),
+        lambda: gen_ugraph(MAX_COUNT + 1, 0.5, 0),
+        lambda: CampaignConfig(stages_max=MAX_COUNT + 1).check(),
+    ]
+    for make in too_many:
+        with pytest.raises(ValueError, match=str(MAX_COUNT)):
+            make()
 
 
 def test_gen_ugraph_extremes_and_determinism():

@@ -587,6 +587,38 @@ def test_found_fixpoints_certify_every_superset():
     assert certified > 200
 
 
+def test_comp_needs_no_source_tidy_first():
+    """The lemma behind ``change``'s keep-guard asking comp(T, u) with no
+    tidy of its own: comp's step ends with the source tidy, so every
+    fixpoint inside T lies inside tidy(T, source, u), and comp(T, u) equals
+    comp(tidy(T, source, u), u)."""
+    import random
+
+    graphs = [random_graph(seed, stages=3 + seed % 4, eset_p=2.0) for seed in range(30)]
+    graphs += [reduce_hc_to_msp(gen_ugraph(5, 0.6, seed))[0] for seed in range(4)]
+    checked = kept = untidy = 0
+    for gi, g in enumerate(graphs):
+        rnd = random.Random(7000 + gi)
+        r = init_all(g)
+        source, *targets = g.vertex_names()
+        for _ in range(12):
+            name = rnd.choice(targets)
+            t = g.full_mask
+            if rnd.random() < 0.5:
+                t &= rnd.randrange(g.full_mask + 1) | rnd.randrange(g.full_mask + 1)
+            tidied = tidy(t, source, name, g)
+            got = comp(t, name, r, g)
+            assert got == comp(tidied, name, r, g), (gi, name, edge_ids(t))
+            checked += 1
+            kept += bool(got)
+            untidy += bool(got) and tidied != t
+            held = [eid for eid, m in enumerate(r.entries) if m]
+            if held:
+                eid = rnd.choice(held)
+                r.set_entry(eid, r.get(eid) & ~(1 << rnd.choice(edge_ids(r.get(eid)))))
+    assert checked > 300 and kept > 50 and untidy > 20, (checked, kept, untidy)
+
+
 # -- lane passes -----------------------------------------------------------
 
 
@@ -653,13 +685,27 @@ def test_lane_passes_match_their_definition():
 
 
 def test_reachmap_bits_deleted_stamps_changes(chain_c):
+    """``bits_deleted`` counts the bits removed so far; a shrink stamps its
+    own edge's stage alone with the new count, and a no-op stamps nothing."""
     r = init_all(chain_c)
+    assert [chain_c.edge(eid).stage for eid in range(3)] == [1, 2, 3]
     assert r.bits_deleted == 0
+    assert r.stamps == [0, 0, 0, 0]
     assert not r.set_entry(0, r.get(0))
     assert r.bits_deleted == 0
+    assert r.stamps == [0, 0, 0, 0]
     removed = r.get(0).bit_count()
     assert r.set_entry(0, 0)
     assert r.bits_deleted == removed == 2
+    assert r.stamps == [0, 2, 0, 0]
+    assert r.set_entry(1, 0)
+    assert r.bits_deleted == 3
+    assert r.stamps == [0, 2, 3, 0]
+    assert not r.set_entry(1, 0)
+    assert r.stamps == [0, 2, 3, 0]
+    assert r.unchanged_through(0, 0) and not r.unchanged_through(1, 0)
+    assert r.unchanged_through(1, 2) and not r.unchanged_through(2, 2)
+    assert r.unchanged_through(3, 3)
 
 
 def test_reachmap_rejects_growth(chain_c):
