@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import MAX_COUNT, parse_instance, serialize_instance
+from .formats import MAX_COUNT, _int_field, parse_instance, serialize_instance
 from .model import MultistageGraph, edge_ids, validate
 from .oracle import TIMEOUT, SearchBudget, oracle_simple_path
 from .reduction import UndirectedGraph
@@ -352,10 +352,12 @@ class CampaignConfig:
             if "=" not in line:
                 raise ValueError(f"line {lineno}: expected 'key = value'")
             key, _, value = (part.strip() for part in line.partition("="))
-            fields[key] = value
+            if key in fields:
+                raise ValueError(f"line {lineno}: repeated campaign option {key!r}")
+            fields[key] = lineno, value
         defaults = CampaignConfig()
         kwargs = {}
-        for key, value in fields.items():
+        for key, (lineno, value) in fields.items():
             if not hasattr(defaults, key):
                 raise ValueError(f"unknown campaign option {key!r}")
             current = getattr(defaults, key)
@@ -364,7 +366,7 @@ class CampaignConfig:
             elif isinstance(current, float):
                 kwargs[key] = float(value)
             else:
-                kwargs[key] = int(value)
+                kwargs[key] = _int_field(value, key, lineno)
         config = replace(defaults, **kwargs)
         config.check()
         return config
@@ -495,6 +497,34 @@ def _write_progress(out_dir: Path, state: dict) -> None:
     os.replace(tmp, path)
 
 
+def _read_progress(path: Path, config_echo: dict, instances: int) -> tuple[int, dict, list]:
+    """``done``, ``totals`` and ``findings`` of the checkpoint at ``path``,
+    which must be one this campaign (``config_echo``, ``instances``) wrote."""
+    try:
+        state = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"unreadable progress file {path}: {exc}") from exc
+    if not isinstance(state, dict) or "config" not in state:
+        raise ValueError(f"unreadable progress file {path}: not a checkpoint")
+    if state["config"] != config_echo:
+        raise ValueError("resume requested with a different configuration")
+    done = state.get("done")
+    totals = state.get("totals")
+    findings = state.get("findings")
+    if not (
+        type(done) is int
+        and 0 <= done <= instances
+        and isinstance(totals, dict)
+        and set(totals) == set(VERDICT_KINDS)
+        and all(type(n) is int and n >= 0 for n in totals.values())
+        and sum(totals.values()) == done
+        and isinstance(findings, list)
+        and all(isinstance(f, str) for f in findings)
+    ):
+        raise ValueError(f"unreadable progress file {path}: not a checkpoint of this campaign")
+    return done, {kind: totals[kind] for kind in VERDICT_KINDS}, findings
+
+
 def run_differential(
     config: CampaignConfig,
     out_dir: str | Path | None = None,
@@ -507,10 +537,10 @@ def run_differential(
     both solver outputs, metadata; candidate counterexamples also get a
     minimized variant), progress is checkpointed so an interrupted campaign
     resumes from the last completed chunk (a checkpoint of another config,
-    or one that does not parse, raises ``ValueError``), and the final report
-    is written as both a table and line-delimited records.  Parallel and
-    serial runs produce identical reports because instances are independent
-    and merged in seed order.
+    or one not of the shape this function writes, raises ``ValueError``),
+    and the final report is written as both a table and line-delimited
+    records.  Parallel and serial runs produce identical reports because
+    instances are independent and merged in seed order.
     """
     started = time.perf_counter()
     out_path = Path(out_dir) if out_dir is not None else None
@@ -525,15 +555,7 @@ def run_differential(
         out_path.mkdir(parents=True, exist_ok=True)
         progress = _progress_path(out_path)
         if resume and progress.exists():
-            try:
-                state = json.loads(progress.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"unreadable progress file {progress}: {exc}") from exc
-            if state["config"] != config_echo:
-                raise ValueError("resume requested with a different configuration")
-            totals.update(state["totals"])
-            findings = list(state["findings"])
-            done = state["done"]
+            done, totals, findings = _read_progress(progress, config_echo, config.instances)
         archive = _Archive(out_path / "archive")
     else:
         archive = None

@@ -15,11 +15,11 @@
   reachable sets shrink, the new result lies inside the old one (Tarski,
   Pacific J. Math. 5(2), 1955): ``start=`` resumes from an earlier
   result.  A member's test reads only its own reachable set and the working
-  set, so after a shrink only the members whose reachable sets lost a bit
-  inside that result can fail; ``lanes=`` names them, and the first sweep
-  tests those alone (semi-naive evaluation, Bancilhon & Ramakrishnan,
-  SIGMOD 1986).  A sweep that deletes nothing from a set already tidy
-  skips the tidy step.
+  set, so after a shrink only the members whose reachable sets changed can
+  fail; ``lanes=`` names them (``ReachMap.edge_stamps`` tells which), and
+  the first sweep tests those alone (semi-naive evaluation, Bancilhon &
+  Ramakrishnan, SIGMOD 1986).  A sweep that deletes nothing from a set
+  already tidy skips the tidy step.
 * ``change`` contracts one reachable set against all the others until stable.
   Its anchors come from lane tables: for a target vertex b and edge set es,
   one forward and one backward pass over ``holders`` with every edge ec as
@@ -51,8 +51,6 @@ operators are pure functions of their inputs.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 from .model import AbnormalTerminationError, EdgeRef, EdgeSet, MultistageGraph, VertexId, edge_ids
 
@@ -176,12 +174,13 @@ class ReachMap:
     transpose: the edges whose reachable set contains f.  Entries only ever
     shrink after initialization, so ``bits_deleted`` (the bits removed so
     far) grows on every change, and keeping ``holders`` current costs at
-    most the size of the initial map over a whole run.  ``stamps[k]`` is
-    ``bits_deleted`` after the last change to an entry of stage k
-    (``estage[e]`` is edge e's stage), which ``unchanged_through`` reads.
+    most the size of the initial map over a whole run.  ``edge_stamps[e]``
+    is ``bits_deleted`` after the last change to entry e, and ``stamps[k]``
+    the same for the entries of stage k (``estage[e]`` is edge e's stage),
+    which ``unchanged_through`` reads.
     """
 
-    __slots__ = ("entries", "holders", "bits_deleted", "estage", "stamps")
+    __slots__ = ("entries", "holders", "bits_deleted", "estage", "stamps", "edge_stamps")
 
     def __init__(self, entries: list[int], estage: tuple[int, ...]):
         self.entries = entries
@@ -196,6 +195,7 @@ class ReachMap:
         self.bits_deleted = 0
         self.estage = estage
         self.stamps = [0] * (max(estage, default=0) + 1)
+        self.edge_stamps = [0] * len(entries)
 
     def get(self, e: EdgeRef | int) -> EdgeSet:
         return self.entries[e.id if isinstance(e, EdgeRef) else e]
@@ -209,7 +209,7 @@ class ReachMap:
         self.entries[eid] = mask
         removed = old & ~mask
         self.bits_deleted += removed.bit_count()
-        self.stamps[self.estage[eid]] = self.bits_deleted
+        self.stamps[self.estage[eid]] = self.edge_stamps[eid] = self.bits_deleted
         holders = self.holders
         ebit = 1 << eid
         while removed:
@@ -426,32 +426,20 @@ def change(
         r.set_entry(eid, cur)
 
 
-def _reader(ids: list[int]):
-    """A function returning the tuple of ``entries[i]`` for ``i`` in ``ids``
-    (``itemgetter`` over a single id returns the value itself)."""
-    if len(ids) > 1:
-        return itemgetter(*ids)
-    if ids:
-        (i,) = ids
-        return lambda entries: (entries[i],)
-    return lambda entries: ()
-
-
 class OperatorCaches:
     """Validated result caches shared across operator calls in one run.
 
     One rule judges staleness: each record notes ``r.bits_deleted`` when it
     was last known exact and stands while ``r.unchanged_through(k, stamp)``
-    for the highest stage k whose entries it read: stage(v) for a ``comp``
-    result at v and for the fixpoints found there (``fixpoints``), the
-    highest lane's stage for lane tables (``mid_tidy``).  A stale ``comp``
-    entry is read once more: a run from its result reads only the entries
-    of the result's members, so the entry keeps an ``operator.itemgetter``
-    over those and their values.  Entries only shrink, so comparing values
-    is exact, and only the members whose entries lost a bit inside the
-    result (its dirty lanes) can fail.  With none the result stands,
-    otherwise ``comp`` re-runs from the result testing those lanes first
-    (``start``, ``lanes``).
+    for the highest stage k whose entries it read: stage(v) - 1 for a
+    ``comp`` result at v and for the fixpoints found there (``fixpoints``;
+    members ending at v are exempt from the test), the highest lane's stage
+    for lane tables (``mid_tidy``).  No record holds a value of
+    ``r.entries``.  A run from a stale ``comp`` result reads only the
+    entries of the members it tests, so only the members whose
+    ``r.edge_stamps`` are newer than the entry's stamp (its dirty lanes)
+    can fail.  With none the result stands, otherwise ``comp`` re-runs from
+    the result testing those lanes first (``start``, ``lanes``).
     """
 
     __slots__ = (
@@ -472,14 +460,13 @@ class OperatorCaches:
         self.graph = graph
         self.r = r
         self.esets = esets  # by vertex index; shared, caller-mutated
-        # (vi, es) -> [result, stamp, ids of result, reader of those entries,
-        #              their values at the stamp]
+        # (vi, es) -> [result, stamp, ids of the result's edges not ending at vi]
         self._comp: dict[tuple[int, int], list] = {}
         # bi -> ((fwd, back), es, stamp when built)
         self._lanes: dict[int, tuple] = {}
         self.comp_runs = 0
         self.comp_warm = 0  # the runs of comp that started from a cached result
-        self.comp_settled = 0  # stale entries that had no dirty lane
+        self.comp_settled = 0  # stale entries none of whose members changed
         self.comp_hits = 0
         # vi -> [nonempty comp results found at vi, stamp]
         self._found: dict[int, list] = {}
@@ -491,34 +478,28 @@ class OperatorCaches:
         hit = self._comp.get((vi, es))
         if hit is None:
             result = comp(es, g._vnames[vi], r, g)
-            self._comp[vi, es] = self._comp_entry(result)
+            self._comp[vi, es] = [result, r.bits_deleted, self._tested(result, vi)]
             self.comp_runs += 1
             return result
-        if not r.unchanged_through(g._vstage[vi], hit[1]):
+        result, stamp, ids = hit
+        if not r.unchanged_through(g._vstage[vi] - 1, stamp):
             hit[1] = r.bits_deleted
-            result, _, ids, read, old = hit
-            seen = read(r.entries)
-            if seen != old:
-                hit[4] = seen
-                dirty = 0
-                for eid, was, now in zip(ids, old, seen):
-                    if was != now and (was ^ now) & result:
-                        dirty |= 1 << eid
-                if dirty:
-                    new = comp(es, g._vnames[vi], r, g, start=result, lanes=dirty)
-                    self.comp_runs += 1
-                    self.comp_warm += 1
-                    if new != result:
-                        self._comp[vi, es] = self._comp_entry(new)
-                    return new
-                self.comp_settled += 1
+            stamps = r.edge_stamps
+            dirty = sum(1 << eid for eid in ids if stamps[eid] > stamp)
+            if dirty:
+                new = comp(es, g._vnames[vi], r, g, start=result, lanes=dirty)
+                self.comp_runs += 1
+                self.comp_warm += 1
+                if new != result:
+                    hit[0] = new
+                    hit[2] = self._tested(new, vi)
+                return new
+            self.comp_settled += 1
         self.comp_hits += 1
-        return hit[0]
+        return result
 
-    def _comp_entry(self, result: int) -> list:
-        ids = edge_ids(result)
-        read = _reader(ids)
-        return [result, self.r.bits_deleted, ids, read, read(self.r.entries)]
+    def _tested(self, result: int, vi: int) -> list[int]:
+        return edge_ids(result & ~self.graph._in_mask[vi])
 
     def comp_of(self, vi: int) -> int:
         return self.comp_value(self.esets[vi], vi)
@@ -547,13 +528,13 @@ class OperatorCaches:
         """The nonempty ``comp`` results found at vertex ``vi`` that are
         still fixpoints of its step; callers append the ones they find.
 
-        A member's test reads only its own entry, and every member of a
-        result at ``vi`` is an edge of a stage up to stage(``vi``), so the
-        list stays exact while the entries of those stages do.
+        A member's test reads only its own entry, and every tested member
+        of a result at ``vi`` is an edge of a stage below stage(``vi``), so
+        the list stays exact while the entries of those stages do.
         """
         r = self.r
         hit = self._found.get(vi)
-        if hit is not None and r.unchanged_through(self.graph._vstage[vi], hit[1]):
+        if hit is not None and r.unchanged_through(self.graph._vstage[vi] - 1, hit[1]):
             hit[1] = r.bits_deleted
             return hit[0]
         found: list[int] = []

@@ -175,11 +175,15 @@ def test_fuzz_default_out_from_environment(capsys, tmp_path, monkeypatch):
         "workers = 0",
         "minimize_budget = 0",
         "stages_max = 1001",
+        "instances = 5\ninstances = 7",
+        "instances = 1_0",
+        "instances = +4",
+        "instances = \u0663",
     ],
 )
 def test_fuzz_bad_campaign_config_exits_format_error(capsys, tmp_path, lines):
     config = tmp_path / "campaign.cfg"
-    config.write_text(lines + "\n")
+    config.write_text(lines + "\n", encoding="utf-8")
     status, _, err = run_cli(capsys, "fuzz", "--config", str(config), "--out", str(tmp_path / "out"))
     assert status == EXIT_FORMAT
     assert "bad campaign config" in err
@@ -208,6 +212,56 @@ def test_fuzz_resume_from_a_truncated_checkpoint_exits_format_error(capsys, tmp_
     assert run_small_campaign(capsys, tmp_path)[0] == EXIT_OK
     progress = tmp_path / "out" / "progress.json"
     progress.write_text(progress.read_text()[:20])
+    status, out, err = run_small_campaign(capsys, tmp_path, "--resume")
+    assert status == EXIT_FORMAT
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "unreadable progress file" in err
+
+
+def _with_totals(state, **changes):
+    return {**state, "totals": {**state["totals"], **changes}}
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda state: {},
+        lambda state: [1],
+        lambda state: {**state, "done": "5"},
+        lambda state: _with_totals({**state, "done": 7}, AGREE_NO=state["totals"]["AGREE_NO"] + 2),
+        lambda state: {**state, "done": -1},
+        lambda state: {**state, "done": True},
+        lambda state: _with_totals(state, AGREE_NO=2.5),
+        lambda state: _with_totals(state, AGREE_NO=state["totals"]["AGREE_NO"] + 1),
+        lambda state: {**state, "totals": {"AGREE_NO": 5}},
+        lambda state: {**state, "totals": [5]},
+        lambda state: {**state, "findings": "none"},
+        lambda state: {**state, "findings": [1]},
+    ],
+    ids=[
+        "empty-dict",
+        "list",
+        "done-not-int",
+        "done-past-instances",
+        "done-negative",
+        "done-bool",
+        "total-not-int",
+        "totals-miss-done",
+        "totals-missing-kinds",
+        "totals-not-dict",
+        "findings-not-list",
+        "finding-not-str",
+    ],
+)
+def test_fuzz_resume_from_a_misshapen_checkpoint_exits_format_error(capsys, tmp_path, damage):
+    """A checkpoint that parses but is not one this campaign wrote is
+    refused like an unparsable one, before any instance runs."""
+    assert run_small_campaign(capsys, tmp_path)[0] == EXIT_OK
+    progress = tmp_path / "out" / "progress.json"
+    state = json.loads(progress.read_text())
+    assert state["done"] == 5
+    progress.write_text(json.dumps(damage(state)))
     status, out, err = run_small_campaign(capsys, tmp_path, "--resume")
     assert status == EXIT_FORMAT
     assert out == ""

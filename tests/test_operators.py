@@ -558,6 +558,30 @@ def test_change_forgets_found_fixpoints_once_their_entries_shrink():
     assert caches.comp_value(w, names.index("u")) == 0
 
 
+def test_caches_ignore_entries_of_the_target_stage(chain_c):
+    """A ``comp`` result at v, and a fixpoint found there, read only the
+    entries of stages below stage(v): members ending at v are exempt from
+    the test.  Shrinking an entry of v's own stage leaves both standing with
+    no re-check; shrinking one below it makes both stale."""
+    r = init_all(chain_c)
+    names = chain_c.vertex_names()
+    bi = names.index("b")
+    caches = OperatorCaches(chain_c, r, [0] * len(names))
+    s_a, a_b = chain_c.edge_id("S", "a", 1), chain_c.edge_id("a", "b", 2)
+    want = mask_of(chain_c, [("S", "a", 1), ("a", "b", 2)])
+    assert caches.comp_value(chain_c.full_mask, bi) == want
+    caches.fixpoints(bi).append(want)
+    assert r.set_entry(a_b, 0)  # stage 2, the stage of b
+    assert caches.comp_value(chain_c.full_mask, bi) == want
+    assert (caches.comp_runs, caches.comp_warm, caches.comp_settled) == (1, 0, 0)
+    assert caches.comp_hits == 1
+    assert caches.fixpoints(bi) == [want]
+    assert r.set_entry(s_a, 0)  # stage 1: S->a no longer reaches b
+    assert caches.comp_value(chain_c.full_mask, bi) == 0
+    assert (caches.comp_runs, caches.comp_warm) == (2, 1)
+    assert caches.fixpoints(bi) == []
+
+
 def test_found_fixpoints_certify_every_superset():
     """The lemma behind ``change``'s pool of found fixpoints: for a nonempty
     W = comp(X, u) under the current entries and any T that holds W,
@@ -686,23 +710,29 @@ def test_lane_passes_match_their_definition():
 
 def test_reachmap_bits_deleted_stamps_changes(chain_c):
     """``bits_deleted`` counts the bits removed so far; a shrink stamps its
-    own edge's stage alone with the new count, and a no-op stamps nothing."""
+    own edge and that edge's stage alone with the new count, and a no-op
+    stamps nothing."""
     r = init_all(chain_c)
     assert [chain_c.edge(eid).stage for eid in range(3)] == [1, 2, 3]
     assert r.bits_deleted == 0
     assert r.stamps == [0, 0, 0, 0]
+    assert r.edge_stamps == [0, 0, 0]
     assert not r.set_entry(0, r.get(0))
     assert r.bits_deleted == 0
     assert r.stamps == [0, 0, 0, 0]
+    assert r.edge_stamps == [0, 0, 0]
     removed = r.get(0).bit_count()
     assert r.set_entry(0, 0)
     assert r.bits_deleted == removed == 2
     assert r.stamps == [0, 2, 0, 0]
+    assert r.edge_stamps == [2, 0, 0]
     assert r.set_entry(1, 0)
     assert r.bits_deleted == 3
     assert r.stamps == [0, 2, 3, 0]
+    assert r.edge_stamps == [2, 3, 0]
     assert not r.set_entry(1, 0)
     assert r.stamps == [0, 2, 3, 0]
+    assert r.edge_stamps == [2, 3, 0]
     assert r.unchanged_through(0, 0) and not r.unchanged_through(1, 0)
     assert r.unchanged_through(1, 2) and not r.unchanged_through(2, 2)
     assert r.unchanged_through(3, 3)
