@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import Pool
@@ -305,6 +306,18 @@ def minimize(g: MultistageGraph, predicate, budget: int = 500) -> MultistageGrap
 # -- campaigns ----------------------------------------------------------------
 
 
+_FLOAT = re.compile(r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?")
+
+
+def _float_field(token: str, what: str, lineno: int) -> float:
+    """``token`` as a float, spelled in ASCII decimal or exponent form with
+    an optional minus (the integer fields' rule, so no ``0_5`` or non-ASCII
+    digits)."""
+    if not _FLOAT.fullmatch(token):
+        raise ValueError(f"line {lineno}: {what} must be a number, got {token!r}")
+    return float(token)
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     instances: int = 1000
@@ -362,9 +375,9 @@ class CampaignConfig:
                 raise ValueError(f"unknown campaign option {key!r}")
             current = getattr(defaults, key)
             if isinstance(current, tuple):
-                kwargs[key] = tuple(float(v) for v in value.split(","))
+                kwargs[key] = tuple(_float_field(v.strip(), key, lineno) for v in value.split(","))
             elif isinstance(current, float):
-                kwargs[key] = float(value)
+                kwargs[key] = _float_field(value, key, lineno)
             else:
                 kwargs[key] = _int_field(value, key, lineno)
         config = replace(defaults, **kwargs)

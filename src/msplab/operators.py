@@ -4,7 +4,9 @@
   u -> v path whose edges all stay inside the set.
 * ``init_all`` seeds the per-edge reachable sets: for an edge e, the edges
   of every e.dst -> sink path along which both endpoints of each visited
-  edge carry e in their edge sets.
+  edge carry e in their edge sets.  With every edge e as a bit lane, one
+  forward and one backward lane pass towards the sink (``_forward_lanes``,
+  ``_backward_lanes``) find them for all edges at once.
 * ``comp`` contracts an edge set against the reachable sets until stable.
   Each sweep tests every member at once with the lane tables' backward
   pass (``_backward_lanes``) from the target over the transposed map
@@ -52,7 +54,7 @@ operators are pure functions of their inputs.
 
 from __future__ import annotations
 
-from .model import AbnormalTerminationError, EdgeRef, EdgeSet, MultistageGraph, VertexId, edge_ids
+from .model import AbnormalTerminationError, EdgeRef, EdgeSet, MultistageGraph, VertexId
 
 
 def _vertex_index(g: MultistageGraph, v) -> int:
@@ -167,6 +169,19 @@ def init_reachable(g: MultistageGraph, e: EdgeRef | int) -> EdgeSet:
     return init_all(g).get(e)
 
 
+def _transpose(masks: list[int]) -> list[int]:
+    """out[f]: the indices i whose ``masks[i]`` holds bit f, for a map from
+    edges to edge sets."""
+    out = [0] * len(masks)
+    for i, mask in enumerate(masks):
+        ibit = 1 << i
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= ibit
+            mask ^= low
+    return out
+
+
 class ReachMap:
     """Mutable map from each edge to its current reachable edge set.
 
@@ -176,26 +191,42 @@ class ReachMap:
     far) grows on every change, and keeping ``holders`` current costs at
     most the size of the initial map over a whole run.  ``edge_stamps[e]``
     is ``bits_deleted`` after the last change to entry e, and ``stamps[k]``
-    the same for the entries of stage k (``estage[e]`` is edge e's stage),
-    which ``unchanged_through`` reads.
+    the same for the entries of stage k (``estage[e]`` is edge e's stage,
+    ``stage_edges[k]`` the edges of stage k), which ``unchanged_through``
+    and ``changed_since`` read.
     """
 
-    __slots__ = ("entries", "holders", "bits_deleted", "estage", "stamps", "edge_stamps")
+    __slots__ = (
+        "entries",
+        "holders",
+        "bits_deleted",
+        "estage",
+        "stamps",
+        "edge_stamps",
+        "stage_edges",
+    )
 
     def __init__(self, entries: list[int], estage: tuple[int, ...]):
+        self._start(entries, _transpose(entries), estage)
+
+    @classmethod
+    def _of_holders(cls, holders: list[int], estage: tuple[int, ...]) -> ReachMap:
+        """The map whose transpose is ``holders``."""
+        r = cls.__new__(cls)
+        r._start(_transpose(holders), holders, estage)
+        return r
+
+    def _start(self, entries: list[int], holders: list[int], estage: tuple[int, ...]) -> None:
         self.entries = entries
-        holders = [0] * len(entries)
-        for eid, mask in enumerate(entries):
-            ebit = 1 << eid
-            while mask:
-                low = mask & -mask
-                holders[low.bit_length() - 1] |= ebit
-                mask ^= low
         self.holders = holders
         self.bits_deleted = 0
         self.estage = estage
         self.stamps = [0] * (max(estage, default=0) + 1)
         self.edge_stamps = [0] * len(entries)
+        stage_edges = [0] * len(self.stamps)
+        for eid, k in enumerate(estage):
+            stage_edges[k] |= 1 << eid
+        self.stage_edges = stage_edges
 
     def get(self, e: EdgeRef | int) -> EdgeSet:
         return self.entries[e.id if isinstance(e, EdgeRef) else e]
@@ -223,32 +254,44 @@ class ReachMap:
         ``bits_deleted`` was ``t``."""
         return t == self.bits_deleted or max(self.stamps[: k + 1]) <= t
 
+    def changed_since(self, k: int, t: int) -> int:
+        """The edges of every stage <= ``k`` with an entry changed since
+        ``bits_deleted`` was ``t``: they hold every such changed edge, and
+        are 0 exactly when ``unchanged_through(k, t)``."""
+        if t == self.bits_deleted:
+            return 0
+        span = 0
+        stage_edges = self.stage_edges
+        for s, stamp in enumerate(self.stamps[: k + 1]):
+            if stamp > t:
+                span |= stage_edges[s]
+        return span
+
 
 def init_all(g: MultistageGraph) -> ReachMap:
     """Reachable set of every edge.
 
     For edge e: the edges (of stage > 1) whose both endpoints carry e in
-    their edge sets, tidied from e's head to the sink.
+    their edge sets, tidied from e's head to the sink.  All at once: with
+    both[f] the edges carried by both endpoints of f, one forward and one
+    backward lane pass over ``both`` towards the sink give every tidy as a
+    bit lane, exactly as ``mid_tidy``'s tables do.
     """
     m = g.edge_count
     esets = g._esets
     efrom = g._efrom
     eto = g._eto
-    collected = [0] * m
-    for f in range(g._stage_end[1], g.edge_count):
+    both = [0] * m  # the transpose of the untidied sets
+    for f in range(g._stage_end[1], m):
         ma = esets[efrom[f]]
         mb = esets[eto[f]]
-        if ma is None or mb is None:
-            continue
-        both = ma & mb
-        fbit = 1 << f
-        while both:
-            low = both & -both
-            collected[low.bit_length() - 1] |= fbit
-            both ^= low
+        if ma is not None and mb is not None:
+            both[f] = ma & mb
     sink = g._stage_vertices[g.stage_count][0]
-    entries = [_tidy_idx(g, collected[e], eto[e], sink) for e in range(m)]
-    return ReachMap(entries, g._estage)
+    fwd = _forward_lanes(g, both, g.full_mask, sink)
+    back = _backward_lanes(g, both, g.full_mask, sink)
+    holders = [both[f] & fwd[efrom[f]] & back[eto[f]] for f in range(m)]
+    return ReachMap._of_holders(holders, g._estage)
 
 
 def comp(
@@ -435,10 +478,12 @@ class OperatorCaches:
     ``comp`` result at v and for the fixpoints found there (``fixpoints``;
     members ending at v are exempt from the test), the highest lane's stage
     for lane tables (``mid_tidy``).  No record holds a value of
-    ``r.entries``.  A run from a stale ``comp`` result reads only the
-    entries of the members it tests, so only the members whose
-    ``r.edge_stamps`` are newer than the entry's stamp (its dirty lanes)
-    can fail.  With none the result stands, otherwise ``comp`` re-runs from
+    ``r.entries``: a ``comp`` entry is its result and its stamp.  A run
+    from a stale ``comp`` result reads only the entries of the members it
+    tests, so only the members whose ``r.edge_stamps`` are newer than the
+    entry's stamp (its dirty lanes) can fail, and they lie in the stages
+    stamped after it (``r.changed_since``), the only members scanned.
+    With no dirty lane the result stands, otherwise ``comp`` re-runs from
     the result testing those lanes first (``start``, ``lanes``).
     """
 
@@ -460,7 +505,7 @@ class OperatorCaches:
         self.graph = graph
         self.r = r
         self.esets = esets  # by vertex index; shared, caller-mutated
-        # (vi, es) -> [result, stamp, ids of the result's edges not ending at vi]
+        # (vi, es) -> [result, stamp]
         self._comp: dict[tuple[int, int], list] = {}
         # bi -> ((fwd, back), es, stamp when built)
         self._lanes: dict[int, tuple] = {}
@@ -478,28 +523,32 @@ class OperatorCaches:
         hit = self._comp.get((vi, es))
         if hit is None:
             result = comp(es, g._vnames[vi], r, g)
-            self._comp[vi, es] = [result, r.bits_deleted, self._tested(result, vi)]
+            self._comp[vi, es] = [result, r.bits_deleted]
             self.comp_runs += 1
             return result
-        result, stamp, ids = hit
-        if not r.unchanged_through(g._vstage[vi] - 1, stamp):
+        result, stamp = hit
+        span = r.changed_since(g._vstage[vi] - 1, stamp)
+        if span:
             hit[1] = r.bits_deleted
+            # every member changed since stamp lies in span; the members
+            # ending at vi, exempt from the test, lie in vi's stage outside it
             stamps = r.edge_stamps
-            dirty = sum(1 << eid for eid in ids if stamps[eid] > stamp)
+            dirty = 0
+            m = result & span
+            while m:
+                low = m & -m
+                m ^= low
+                if stamps[low.bit_length() - 1] > stamp:
+                    dirty |= low
             if dirty:
                 new = comp(es, g._vnames[vi], r, g, start=result, lanes=dirty)
                 self.comp_runs += 1
                 self.comp_warm += 1
-                if new != result:
-                    hit[0] = new
-                    hit[2] = self._tested(new, vi)
+                hit[0] = new
                 return new
             self.comp_settled += 1
         self.comp_hits += 1
         return result
-
-    def _tested(self, result: int, vi: int) -> list[int]:
-        return edge_ids(result & ~self.graph._in_mask[vi])
 
     def comp_of(self, vi: int) -> int:
         return self.comp_value(self.esets[vi], vi)

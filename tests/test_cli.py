@@ -179,6 +179,9 @@ def test_fuzz_default_out_from_environment(capsys, tmp_path, monkeypatch):
         "instances = 1_0",
         "instances = +4",
         "instances = \u0663",
+        "edge_density = \u0660.\u0665",
+        "edge_density = 0_5e-1",
+        "eset_densities = 0.3,\u0660.\u0665",
     ],
 )
 def test_fuzz_bad_campaign_config_exits_format_error(capsys, tmp_path, lines):

@@ -271,8 +271,9 @@ def test_shapes_are_deterministic_per_seed():
 
 
 def test_config_text_round_trip():
-    cfg = tiny_config(workers=2)
-    assert CampaignConfig.from_text(cfg.to_text()) == cfg
+    for cfg in (tiny_config(workers=2), tiny_config(edge_density=1e-05)):
+        assert CampaignConfig.from_text(cfg.to_text()) == cfg
+    assert "edge_density = 1e-05\n" in tiny_config(edge_density=1e-05).to_text()
     with pytest.raises(ValueError):
         CampaignConfig.from_text("nonsense = 1\n")
     parsed = CampaignConfig.from_text("# comment\ninstances = 5\neset_densities = 0.25,0.75\n")

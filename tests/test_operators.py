@@ -149,6 +149,34 @@ def test_init_stage_soundness():
                 assert g.edge(member).stage > floor
 
 
+def test_init_all_holders_and_short_and_long_graphs():
+    """``init_all`` builds the transpose too, matches the definition on
+    one- and two-stage graphs and where a vertex has no edge set, and on
+    a long chain with full edge sets reaches every later edge."""
+    graphs = [random_graph(seed, stages=1 + seed % 2, eset_p=0.8) for seed in range(20)]
+    for seed in range(20):
+        vertices, edges, esets = random_graph(seed, stages=3 + seed % 2, eset_p=0.9).document_data()
+        names = sorted(esets)
+        del esets[names[seed % len(names)]]  # a non-source vertex with no edge set
+        graphs.append(mk_graph(3 + seed % 2, vertices, edges, esets))
+    assert any(None in g._esets[1:] for g in graphs)
+    for gi, g in enumerate(graphs):
+        rg = ref.RefGraph(g)
+        r = init_all(g)
+        want = ref.init_all_ref(rg)
+        assert [triples_of(g, m) for m in r.entries] == [want[t] for t in rg.edges], gi
+        assert r.holders == [
+            edge_set(e for e, m in enumerate(r.entries) if m >> f & 1) for f in range(g.edge_count)
+        ]
+
+    names = ["S", *(f"c{i}" for i in range(1, 150)), "D"]
+    edges = [(names[k - 1], names[k], k) for k in range(1, 151)]
+    g = mk_graph(150, [(name, k) for k, name in enumerate(names)], edges, {n: edges for n in names[1:]})
+    r = init_all(g)
+    assert r.entries == [g.full_mask & ~((2 << e) - 1) for e in range(150)]
+    assert r.holders == [(1 << f) - 1 for f in range(150)]
+
+
 # -- comp ------------------------------------------------------------------
 
 
@@ -423,6 +451,61 @@ def test_operator_caches_stay_exact_as_entries_shrink():
         settled += caches.comp_settled
         assert caches.comp_settled <= caches.comp_hits
     assert hits > 0 and changed > 0 and lane_hits > 0 and warm > 0 and settled > 0
+
+
+def test_comp_cache_picks_the_changed_members_as_dirty_lanes(monkeypatch):
+    """A stale ``comp`` entry re-runs with exactly the members of its result
+    not ending at v whose entries changed after it (edge stamps newer than
+    its stamp) as lanes, and with none it counts one ``comp_settled``."""
+    import random
+
+    from msplab import operators
+
+    lanes_seen = []
+    real_comp = operators.comp
+
+    def spy(es, v, r, g, **kw):
+        lanes_seen.append(kw.get("lanes"))
+        return real_comp(es, v, r, g, **kw)
+
+    monkeypatch.setattr(operators, "comp", spy)
+    graphs = [random_graph(seed, stages=3 + seed % 3, eset_p=0.9) for seed in range(25)]
+    graphs += [reduce_hc_to_msp(gen_ugraph(5, 0.6, seed))[0] for seed in range(4)]
+    dirty_runs = settled = 0
+    for gi, g in enumerate(graphs):
+        rnd = random.Random(7000 + gi)
+        r = init_all(g)
+        names = g.vertex_names()
+        caches = OperatorCaches(g, r, [0] * len(names))
+        vis = range(1, len(names))
+        queries = [(g.full_mask, vi) for vi in vis] + [(g.eset(names[vi]), vi) for vi in vis]
+        for step in range(10):
+            for es, vi in queries:
+                entry = caches._comp.get((vi, es))
+                lanes_seen.clear()
+                settled_before = caches.comp_settled
+                if entry is None:
+                    caches.comp_value(es, vi)
+                    assert lanes_seen == [None]
+                    continue
+                result, stamp = entry
+                stale = not r.unchanged_through(g._vstage[vi] - 1, stamp)
+                want = edge_set(
+                    f for f in edge_ids(result & ~g._in_mask[vi]) if r.edge_stamps[f] > stamp
+                )
+                assert caches.comp_value(es, vi) == real_comp(es, names[vi], r, g), (gi, step)
+                if want:
+                    assert stale and lanes_seen == [want], (gi, step, vi)
+                    dirty_runs += 1
+                else:
+                    assert lanes_seen == []
+                    assert caches.comp_settled == settled_before + stale
+                    settled += stale
+            held = [eid for eid, m in enumerate(r.entries) if m]
+            for eid in rnd.sample(held, min(len(held), 3)):
+                drop = 1 << rnd.choice(edge_ids(r.get(eid)))
+                r.set_entry(eid, r.get(eid) & ~drop)
+    assert dirty_runs > 0 and settled > 0
 
 
 # Two routes from a1 to y, one through e = u->v; a2 reaches y only through e.
