@@ -172,10 +172,10 @@ def _cmd_gen_msp(args) -> int:
             eset_density=args.eset_density,
             seed=args.seed,
         )
-        shape.check()
+        g = gen_msp(shape)
     except ValueError as exc:
         raise _CliFailure(EXIT_FORMAT, f"bad shape: {exc}") from exc
-    _write_text(args.output, serialize_instance(gen_msp(shape)))
+    _write_text(args.output, serialize_instance(g))
     return EXIT_OK
 
 

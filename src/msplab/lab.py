@@ -661,11 +661,10 @@ def bench_scaling(
     widths: tuple[int, ...] = (2, 3, 4, 6),
     stages: int = 6,
     reps: int = 3,
-    seed: int = 0,
-    eset_density: float = 0.5,
 ) -> tuple[list[dict], float]:
-    """Solve a family of growing width and fit a log-log slope of wall time
-    against edge count; the widths must give at least two edge counts."""
+    """Solve a family of growing width (complete stage links, edge-set
+    density 0.5, seed 0) and fit a log-log slope of wall time against edge
+    count; the widths must give at least two edge counts."""
     if reps < 1:
         raise ValueError("reps must be at least 1")
     family = []
@@ -674,8 +673,8 @@ def bench_scaling(
             stages=stages,
             widths=(1, *(width,) * (stages - 1), 1),
             edge_density=1.0,
-            eset_density=eset_density,
-            seed=seed,
+            eset_density=0.5,
+            seed=0,
         )
         family.append((width, gen_msp(shape)))
     if len({g.edge_count for _, g in family}) < 2:

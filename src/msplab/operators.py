@@ -49,7 +49,9 @@ Two conventions the operator definitions leave open are pinned here:
 Deletions inside each fixpoint sweep are collected and applied at sweep end
 (ascending edge-id order), so results do not depend on iteration order.
 ``change`` writes its result back into the reachable map; the other
-operators are pure functions of their inputs.
+operators are pure functions of their inputs.  ``OperatorCaches`` holds a
+solver run's per-vertex edge sets and the caches above, each judged stale
+by ``ReachMap.changed_since``.
 """
 
 from __future__ import annotations
@@ -186,14 +188,14 @@ class ReachMap:
     """Mutable map from each edge to its current reachable edge set.
 
     ``entries[e]`` is the reachable set of edge e and ``holders[f]`` its
-    transpose: the edges whose reachable set contains f.  Entries only ever
-    shrink after initialization, so ``bits_deleted`` (the bits removed so
-    far) grows on every change, and keeping ``holders`` current costs at
+    transpose: the edges whose reachable set contains f.  Built from
+    ``holders`` alone (``ReachMap(holders=..., estage=...)``).  Entries only
+    ever shrink after initialization, so ``bits_deleted`` (the bits removed
+    so far) grows on every change, and keeping ``holders`` current costs at
     most the size of the initial map over a whole run.  ``edge_stamps[e]``
     is ``bits_deleted`` after the last change to entry e, and ``stamps[k]``
     the same for the entries of stage k (``estage[e]`` is edge e's stage,
-    ``stage_edges[k]`` the edges of stage k), which ``unchanged_through``
-    and ``changed_since`` read.
+    ``stage_edges[k]`` the edges of stage k), which ``changed_since`` reads.
     """
 
     __slots__ = (
@@ -206,23 +208,13 @@ class ReachMap:
         "stage_edges",
     )
 
-    def __init__(self, entries: list[int], estage: tuple[int, ...]):
-        self._start(entries, _transpose(entries), estage)
-
-    @classmethod
-    def _of_holders(cls, holders: list[int], estage: tuple[int, ...]) -> ReachMap:
-        """The map whose transpose is ``holders``."""
-        r = cls.__new__(cls)
-        r._start(_transpose(holders), holders, estage)
-        return r
-
-    def _start(self, entries: list[int], holders: list[int], estage: tuple[int, ...]) -> None:
-        self.entries = entries
+    def __init__(self, *, holders: list[int], estage: tuple[int, ...]):
+        self.entries = _transpose(holders)
         self.holders = holders
         self.bits_deleted = 0
         self.estage = estage
         self.stamps = [0] * (max(estage, default=0) + 1)
-        self.edge_stamps = [0] * len(entries)
+        self.edge_stamps = [0] * len(holders)
         stage_edges = [0] * len(self.stamps)
         for eid, k in enumerate(estage):
             stage_edges[k] |= 1 << eid
@@ -249,20 +241,19 @@ class ReachMap:
             removed ^= low
         return True
 
-    def unchanged_through(self, k: int, t: int) -> bool:
-        """Whether no entry of an edge of stage <= ``k`` changed since
-        ``bits_deleted`` was ``t``."""
-        return t == self.bits_deleted or max(self.stamps[: k + 1]) <= t
-
     def changed_since(self, k: int, t: int) -> int:
-        """The edges of every stage <= ``k`` with an entry changed since
-        ``bits_deleted`` was ``t``: they hold every such changed edge, and
-        are 0 exactly when ``unchanged_through(k, t)``."""
+        """The edges of every stage <= ``k`` (``k`` >= 0) with an entry
+        changed since ``bits_deleted`` was ``t``: they hold every such
+        changed edge, and are 0 exactly when no entry of those stages
+        changed."""
         if t == self.bits_deleted:
+            return 0
+        stamps = self.stamps[: k + 1]
+        if max(stamps) <= t:
             return 0
         span = 0
         stage_edges = self.stage_edges
-        for s, stamp in enumerate(self.stamps[: k + 1]):
+        for s, stamp in enumerate(stamps):
             if stamp > t:
                 span |= stage_edges[s]
         return span
@@ -291,7 +282,7 @@ def init_all(g: MultistageGraph) -> ReachMap:
     fwd = _forward_lanes(g, both, g.full_mask, sink)
     back = _backward_lanes(g, both, g.full_mask, sink)
     holders = [both[f] & fwd[efrom[f]] & back[eto[f]] for f in range(m)]
-    return ReachMap._of_holders(holders, g._estage)
+    return ReachMap(holders=holders, estage=g._estage)
 
 
 def comp(
@@ -393,11 +384,11 @@ def change(
 
     ``caches`` supplies the current per-vertex edge sets and shares
     contraction results, found fixpoints and lane tables across calls within
-    one solver run (defaults to fresh caches over the graph's own edge sets).
+    one solver run (defaults to fresh caches over ``g`` and ``r``).
     """
     eid = e.id if isinstance(e, EdgeRef) else e
     if caches is None:
-        caches = OperatorCaches(g, r, [m if m is not None else 0 for m in g._esets])
+        caches = OperatorCaches(g, r)
     efrom = g._efrom
     eto = g._eto
     holders = r.holders
@@ -413,8 +404,7 @@ def change(
 
     bound = cur.bit_count() + 1
     sweeps = 0
-    lanes_hi = g._stage_end[stage - 1]  # the anchors: edge ids with stage < stage
-    earlier = (1 << lanes_hi) - 1
+    earlier = (1 << g._stage_end[stage - 1]) - 1  # the anchors: edges of stages < stage
     ebit = 1 << eid
     found = None  # caches.fixpoints(ui), fetched at the first guard
     while True:
@@ -437,7 +427,7 @@ def change(
                 # anchors ec with e in tidy(R(ec) & ceb, head(ec), bi)
                 anchored = 0
                 if ceb & ebit:
-                    fwd, back = caches.mid_tidy(bi, ceb, lanes_hi)
+                    fwd, back = caches.mid_tidy(bi, ceb, stage)
                     anchored = holders[eid] & earlier & fwd[ui] & back[vi]
                 if not anchored:
                     for kid in per_b[bi]:
@@ -470,19 +460,23 @@ def change(
 
 
 class OperatorCaches:
-    """Validated result caches shared across operator calls in one run.
+    """The solver's per-vertex edge sets and the result caches shared across
+    operator calls in one run.
+
+    ``esets[v]`` starts as vertex v's edge set in the graph (0 for the
+    source); the solver shrinks it in place, and ``comp_of(v)`` contracts it.
 
     One rule judges staleness: each record notes ``r.bits_deleted`` when it
-    was last known exact and stands while ``r.unchanged_through(k, stamp)``
+    was last known exact and stands while ``r.changed_since(k, stamp)`` is 0
     for the highest stage k whose entries it read: stage(v) - 1 for a
     ``comp`` result at v and for the fixpoints found there (``fixpoints``;
-    members ending at v are exempt from the test), the highest lane's stage
-    for lane tables (``mid_tidy``).  No record holds a value of
-    ``r.entries``: a ``comp`` entry is its result and its stamp.  A run
-    from a stale ``comp`` result reads only the entries of the members it
-    tests, so only the members whose ``r.edge_stamps`` are newer than the
-    entry's stamp (its dirty lanes) can fail, and they lie in the stages
-    stamped after it (``r.changed_since``), the only members scanned.
+    members ending at v are exempt from the test), the highest stage of
+    the exact lanes for lane tables (``mid_tidy``).  No record holds a
+    value of ``r.entries``: a ``comp`` entry is its result and its stamp.
+    A run from a stale ``comp`` result reads only the entries of the
+    members it tests, so only the members whose ``r.edge_stamps`` are
+    newer than the entry's stamp (its dirty lanes) can fail, and they lie
+    in the stages ``changed_since`` returns, the only members scanned.
     With no dirty lane the result stands, otherwise ``comp`` re-runs from
     the result testing those lanes first (``start``, ``lanes``).
     """
@@ -501,10 +495,10 @@ class OperatorCaches:
         "guard_certified",
     )
 
-    def __init__(self, graph: MultistageGraph, r: ReachMap, esets: list[int]):
+    def __init__(self, graph: MultistageGraph, r: ReachMap):
         self.graph = graph
         self.r = r
-        self.esets = esets  # by vertex index; shared, caller-mutated
+        self.esets = [m if m is not None else 0 for m in graph._esets]  # by vertex index
         # (vi, es) -> [result, stamp]
         self._comp: dict[tuple[int, int], list] = {}
         # bi -> ((fwd, back), es, stamp when built)
@@ -553,22 +547,21 @@ class OperatorCaches:
     def comp_of(self, vi: int) -> int:
         return self.comp_value(self.esets[vi], vi)
 
-    def mid_tidy(self, bi: int, es: int, hi: int) -> tuple[list[int], list[int]]:
+    def mid_tidy(self, bi: int, es: int, stage: int) -> tuple[list[int], list[int]]:
         """Lane tables ``(fwd, back)`` of ``es`` towards vertex ``bi``, exact
-        for the lanes (edge ids) below ``hi``.
+        for the lanes (edge ids) of the stages below ``stage``.
 
         Lane ec walks R(ec) & es: f is in tidy(R(ec) & es, head(ec), bi) iff
         f is in es and bit ec is in holders[f] & fwd[efrom[f]] & back[eto[f]].
         One pair is kept per ``bi``, exact for every lane when built; a lane
-        reads only its own entry, so the pair stays exact below ``hi`` while
-        ``es`` and the entries of stages up to edge hi-1's do.
+        reads only its own entry, so the pair stays exact for those lanes
+        while ``es`` and the entries of stages below ``stage`` do.
         """
         r = self.r
         g = self.graph
         hit = self._lanes.get(bi)
-        if hit is not None and hit[1] == es:
-            if r.unchanged_through(g._estage[hi - 1] if hi else 0, hit[2]):
-                return hit[0]
+        if hit is not None and hit[1] == es and not r.changed_since(stage - 1, hit[2]):
+            return hit[0]
         tables = (_forward_lanes(g, r.holders, es, bi), _backward_lanes(g, r.holders, es, bi))
         self._lanes[bi] = (tables, es, r.bits_deleted)
         return tables
@@ -583,7 +576,7 @@ class OperatorCaches:
         """
         r = self.r
         hit = self._found.get(vi)
-        if hit is not None and r.unchanged_through(self.graph._vstage[vi] - 1, hit[1]):
+        if hit is not None and not r.changed_since(self.graph._vstage[vi] - 1, hit[1]):
             hit[1] = r.bits_deleted
             return hit[0]
         found: list[int] = []

@@ -78,8 +78,8 @@ def zh_solve(
         for eid, mask in enumerate(r.entries):
             trace.append({"event": "r_init", "edge": eid, "value": edge_ids(mask)})
 
-    esets = [m if m is not None else 0 for m in g._esets]
-    caches = OperatorCaches(g, r, esets)
+    caches = OperatorCaches(g, r)
+    esets = caches.esets
     stage_limit = g.stage_count  # loop covers stages 1..L-1
     stage_vertices = g._stage_vertices
     stage_end = g._stage_end
@@ -87,6 +87,17 @@ def zh_solve(
     sink_idx = stage_vertices[g.stage_count][0]
     change_calls = 0
     limit_ops = 0
+
+    def record_shrink(eid: int, prev: int) -> None:
+        trace.append(
+            {
+                "event": "r_shrink",
+                "sweep": sweeps,
+                "stage": stage,
+                "edge": eid,
+                "removed": edge_ids(prev & ~entries[eid]),
+            }
+        )
 
     sweep_bound = 1 + sum(m.bit_count() for m in entries)
     if max_sweeps is None:
@@ -106,15 +117,7 @@ def zh_solve(
                 change(r, eid, g, caches)
                 change_calls += 1
                 if trace is not None and entries[eid] != prev:
-                    trace.append(
-                        {
-                            "event": "r_shrink",
-                            "sweep": sweeps,
-                            "stage": stage,
-                            "edge": eid,
-                            "removed": edge_ids(prev & ~entries[eid]),
-                        }
-                    )
+                    record_shrink(eid, prev)
             # contract each stage vertex's edge set; shrunken values persist
             for vi in stage_vertices[stage]:
                 new = caches.comp_of(vi)
@@ -130,7 +133,9 @@ def zh_solve(
                             }
                         )
                     esets[vi] = new
-            # re-limit every reachable set of stage <= current stage.  A
+            # re-limit every reachable set of stage <= current stage.  Each
+            # esets[v] of this stage is now comp(v), a fixpoint of comp's
+            # step under the current map, so it is comp(esets[v], v) too.  A
             # re-limit removes only bits on no head -> v path inside comp(v),
             # so no comp(v) changes and one set of lane tables serves the stage
             keep = None
@@ -140,8 +145,7 @@ def zh_solve(
                     continue
                 limit_ops += 1
                 if keep is None:
-                    comps = [caches.comp_of(vi) for vi in stage_vertices[stage]]
-                    keep, losers = limit_tables(caches, stage, comps)
+                    keep, losers = limit_tables(caches, stage)
                 if not losers >> eid & 1:
                     continue  # the union covers cur's window, and cur is already tidy
                 window = g.span_mask(g._estage[eid] + 1, stage)
@@ -154,15 +158,7 @@ def zh_solve(
                         kept |= low
                 new = _tidy_idx(g, kept, g._eto[eid], sink_idx)
                 if r.set_entry(eid, new) and trace is not None:
-                    trace.append(
-                        {
-                            "event": "r_shrink",
-                            "sweep": sweeps,
-                            "stage": stage,
-                            "edge": eid,
-                            "removed": edge_ids(cur & ~new),
-                        }
-                    )
+                    record_shrink(eid, cur)
         if r.bits_deleted == deleted_before:
             break
 
@@ -186,24 +182,25 @@ def zh_solve(
     )
 
 
-def limit_tables(caches: OperatorCaches, stage: int, comps: list[int]) -> tuple[list[int], int]:
+def limit_tables(caches: OperatorCaches, stage: int) -> tuple[list[int], int]:
     """Lane tables of the re-limit step at ``stage``.
 
-    ``comps`` holds comp(v) for the stage's vertices v, in order.  For every
-    edge f of stage <= ``stage``, ``keep[f]`` is the set of lanes ec with f in
-    the union over v of tidy(R(ec) & comp(v), head(ec), v), given f in
-    R(ec).  ``losers`` is the set of edges ec of earlier stages for which
-    that union misses some member of R(ec) up to ``stage``.  Edges of
+    ``caches.esets[v]`` must be comp(v) for the stage's vertices v.  For
+    every edge f of stage <= ``stage``, ``keep[f]`` is the set of lanes ec
+    with f in the union over v of tidy(R(ec) & comp(v), head(ec), v), given
+    f in R(ec).  ``losers`` is the set of edges ec of earlier stages for
+    which that union misses some member of R(ec) up to ``stage``.  Edges of
     ``stage`` itself have an empty window and never lose.
     """
     g = caches.graph
     efrom = g._efrom
     eto = g._eto
-    lanes_hi = g._stage_end[stage - 1]
+    esets = caches.esets
     top = g._stage_end[stage]
     keep = [0] * top
-    for vi, ceb in zip(g._stage_vertices[stage], comps):
-        fwd, back = caches.mid_tidy(vi, ceb, lanes_hi)
+    for vi in g._stage_vertices[stage]:
+        ceb = esets[vi]
+        fwd, back = caches.mid_tidy(vi, ceb, stage)
         m = ceb
         while m:
             low = m & -m
@@ -214,7 +211,7 @@ def limit_tables(caches: OperatorCaches, stage: int, comps: list[int]) -> tuple[
     losers = 0
     for f in range(g._stage_end[1], top):
         losers |= holders[f] & ~keep[f]
-    return keep, losers & ((1 << lanes_hi) - 1)
+    return keep, losers & ((1 << g._stage_end[stage - 1]) - 1)
 
 
 def replay_trace(g: MultistageGraph, events: list[dict[str, Any]]) -> list[EdgeSet]:

@@ -9,6 +9,7 @@ from msplab.lab import gen_ugraph
 from msplab.model import AbnormalTerminationError, edge_ids, edge_set, validate
 from msplab.operators import (
     OperatorCaches,
+    ReachMap,
     _backward_lanes,
     _forward_lanes,
     change,
@@ -386,7 +387,7 @@ def test_change_result_within_prior_entry():
 
 def lane_tidy(g, r, tables, es, ec):
     """tidy(R(ec) & es, head(ec), bi), read back from the lane tables that
-    ``OperatorCaches.mid_tidy(bi, es, hi)`` returned."""
+    ``OperatorCaches.mid_tidy(bi, es, stage)`` returned."""
     fwd, back = tables
     vidx = {name: i for i, name in enumerate(g.vertex_names())}
     return edge_set(
@@ -411,7 +412,7 @@ def test_operator_caches_stay_exact_as_entries_shrink():
         rnd = random.Random(3000 + seed)
         r = init_all(g)
         names = g.vertex_names()
-        caches = OperatorCaches(g, r, [0] * len(names))
+        caches = OperatorCaches(g, r)
         vis = range(1, len(names))
         comp_queries = [(g.full_mask, vi) for vi in vis] + [(g.eset(names[vi]), vi) for vi in vis]
         read = 0  # edges whose entries the edge-set queries read
@@ -419,10 +420,10 @@ def test_operator_caches_stay_exact_as_entries_shrink():
             read |= g.eset(names[vi])
         # one edge set per target; each table is asked for some lanes, then all
         mid_queries = [
-            (bi, ceb, hi)
+            (bi, ceb, stage)
             for bi in vis
             for ceb in (g.full_mask if bi % 2 else rnd.randrange(g.full_mask + 1),)
-            for hi in (rnd.randrange(g.edge_count + 1), g.edge_count)
+            for stage in (rnd.randrange(1, g.stage_count + 2), g.stage_count + 1)
         ]
         last = None
         last_tables = {}
@@ -431,11 +432,11 @@ def test_operator_caches_stay_exact_as_entries_shrink():
             for es, vi in comp_queries:
                 seen.append(caches.comp_value(es, vi))
                 assert seen[-1] == comp(es, names[vi], r, g), (seed, step)
-            for bi, ceb, hi in mid_queries:
-                tables = caches.mid_tidy(bi, ceb, hi)
+            for bi, ceb, stage in mid_queries:
+                tables = caches.mid_tidy(bi, ceb, stage)
                 lane_hits += tables is last_tables.get(bi)
                 last_tables[bi] = tables
-                for ec in range(hi):
+                for ec in range(g._stage_end[stage - 1]):  # the lanes of stages < stage
                     seen.append(lane_tidy(g, r, tables, ceb, ec))
                     want = tidy(r.get(ec) & ceb, g.edge(ec).dst.name, names[bi], g)
                     assert seen[-1] == want, (seed, step, bi, ec)
@@ -476,7 +477,7 @@ def test_comp_cache_picks_the_changed_members_as_dirty_lanes(monkeypatch):
         rnd = random.Random(7000 + gi)
         r = init_all(g)
         names = g.vertex_names()
-        caches = OperatorCaches(g, r, [0] * len(names))
+        caches = OperatorCaches(g, r)
         vis = range(1, len(names))
         queries = [(g.full_mask, vi) for vi in vis] + [(g.eset(names[vi]), vi) for vi in vis]
         for step in range(10):
@@ -489,7 +490,7 @@ def test_comp_cache_picks_the_changed_members_as_dirty_lanes(monkeypatch):
                     assert lanes_seen == [None]
                     continue
                 result, stamp = entry
-                stale = not r.unchanged_through(g._vstage[vi] - 1, stamp)
+                stale = bool(r.changed_since(g._vstage[vi] - 1, stamp))
                 want = edge_set(
                     f for f in edge_ids(result & ~g._in_mask[vi]) if r.edge_stamps[f] > stamp
                 )
@@ -545,8 +546,7 @@ def test_change_matches_reference_as_entries_shrink():
     )
     rg = ref.RefGraph(g)
     r = init_all(g)
-    names = g.vertex_names()
-    caches = OperatorCaches(g, r, [g.eset(name) if vi else 0 for vi, name in enumerate(names)])
+    caches = OperatorCaches(g, r)
     e = g.edge_id("u", "v", 3)
     results = []
     for lane, lost in [(None, None), (("S", "a2", 1), ("y", "D", 5)), (("S", "a1", 1), ("v", "y", 4))]:
@@ -567,8 +567,7 @@ def test_change_matches_reference_as_entries_shrink():
         rg = ref.RefGraph(g)
         rnd = random.Random(5000 + gi)
         r = init_all(g)
-        names = g.vertex_names()
-        caches = OperatorCaches(g, r, [g.eset(name) if vi else 0 for vi, name in enumerate(names)])
+        caches = OperatorCaches(g, r)
         later = [eid for eid in range(g.edge_count) if g.edge(eid).stage > 1]
         for _ in range(min(3 * len(later), 40)):
             eid = rnd.choice(later)
@@ -619,7 +618,7 @@ def test_change_forgets_found_fixpoints_once_their_entries_shrink():
     rg = ref.RefGraph(g)
     r = init_all(g)
     names = g.vertex_names()
-    caches = OperatorCaches(g, r, [g.eset(name) if vi else 0 for vi, name in enumerate(names)])
+    caches = OperatorCaches(g, r)
     for lane, lost in [
         (("a", "c2", 2), [("u", "v", 4), ("v", "D", 5)]),
         (("c2", "u", 3), [("u", "v", 4), ("v", "D", 5)]),
@@ -649,7 +648,7 @@ def test_caches_ignore_entries_of_the_target_stage(chain_c):
     r = init_all(chain_c)
     names = chain_c.vertex_names()
     bi = names.index("b")
-    caches = OperatorCaches(chain_c, r, [0] * len(names))
+    caches = OperatorCaches(chain_c, r)
     s_a, a_b = chain_c.edge_id("S", "a", 1), chain_c.edge_id("a", "b", 2)
     want = mask_of(chain_c, [("S", "a", 1), ("a", "b", 2)])
     assert caches.comp_value(chain_c.full_mask, bi) == want
@@ -816,9 +815,35 @@ def test_reachmap_bits_deleted_stamps_changes(chain_c):
     assert not r.set_entry(1, 0)
     assert r.stamps == [0, 2, 3, 0]
     assert r.edge_stamps == [2, 3, 0]
-    assert r.unchanged_through(0, 0) and not r.unchanged_through(1, 0)
-    assert r.unchanged_through(1, 2) and not r.unchanged_through(2, 2)
-    assert r.unchanged_through(3, 3)
+    assert r.changed_since(0, 0) == 0 and r.changed_since(1, 0) == 0b001
+    assert r.changed_since(1, 2) == 0 and r.changed_since(2, 2) == 0b010
+    assert r.changed_since(3, 3) == 0
+    assert r.changed_since(3, 0) == 0b011
+    # only a stage above k changed since t, and t is not the current count
+    r = init_all(chain_c)
+    assert r.set_entry(1, 0)
+    assert r.changed_since(1, 0) == 0 and r.changed_since(2, 0) == 0b010
+
+
+def test_reachmap_is_built_from_holders_alone():
+    """``ReachMap(holders=..., estage=...)`` derives ``entries`` as the
+    transpose of ``holders``; a positional call fails instead of reading
+    one table as the other."""
+    import random
+
+    for seed in range(20):
+        g = random_graph(seed)
+        rnd = random.Random(seed)
+        holders = [rnd.randrange(g.full_mask + 1) for _ in range(g.edge_count)]
+        r = ReachMap(holders=holders, estage=g._estage)
+        assert r.holders is holders
+        assert r.entries == [
+            edge_set(f for f in range(g.edge_count) if holders[f] >> e & 1)
+            for e in range(g.edge_count)
+        ]
+        assert r.bits_deleted == 0 and not any(r.stamps) and not any(r.edge_stamps)
+        with pytest.raises(TypeError):
+            ReachMap(holders, g._estage)
 
 
 def test_reachmap_rejects_growth(chain_c):

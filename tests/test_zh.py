@@ -100,12 +100,14 @@ def test_limit_tables_match_per_vertex_tidy():
         rnd = random.Random(6000 + gi)
         r = init_all(g)
         names = g.vertex_names()
-        caches = OperatorCaches(g, r, [g.eset(name) if vi else 0 for vi, name in enumerate(names)])
+        caches = OperatorCaches(g, r)
         for _ in range(3):
             for stage in range(1, g.stage_count):
                 vis = [vi for vi, name in enumerate(names) if g.vertex(name).stage == stage]
                 comps = [caches.comp_of(vi) for vi in vis]
-                keep, losers = limit_tables(caches, stage, comps)
+                for vi, ceb in zip(vis, comps):
+                    caches.esets[vi] = ceb
+                keep, losers = limit_tables(caches, stage)
                 for eid in range(g.edge_count):
                     cur = r.get(eid)
                     if g.edge(eid).stage > stage:
@@ -120,14 +122,36 @@ def test_limit_tables_match_per_vertex_tidy():
                     losers_seen += lost
                     kept = edge_set(f for f in edge_ids(cur & window) if keep[f] >> eid & 1)
                     assert kept == union & window, (gi, stage, eid)
-                for vi, ceb in zip(vis, comps):
-                    caches.esets[vi] = ceb
             # shrink about half the entries
             for eid in range(g.edge_count):
                 if r.get(eid) and rnd.random() < 0.5:
                     keep_bits = rnd.randrange(g.full_mask + 1)
                     r.set_entry(eid, r.get(eid) & (keep_bits | keep_bits >> 1))
     assert losers_seen > 100
+
+
+def test_relimit_edge_sets_are_their_own_contractions(monkeypatch):
+    """When ``zh_solve`` builds the re-limit tables of a stage, each stage
+    vertex's stored edge set is already comp(v) under the current map, so
+    the re-limit step may read it instead of contracting again."""
+    from msplab import zh
+
+    real = zh.limit_tables
+    checked = []
+
+    def spy(caches, stage):
+        for vi in caches.graph._stage_vertices[stage]:
+            assert caches.comp_of(vi) == caches.esets[vi], (stage, vi)
+            checked.append(caches.esets[vi])
+        return real(caches, stage)
+
+    monkeypatch.setattr(zh, "limit_tables", spy)
+    graphs = [random_graph(seed, stages=3 + seed % 4, eset_p=0.9) for seed in range(30)]
+    graphs += [reduce_hc_to_msp(gen_ugraph(n, 0.6, seed))[0] for n in (5, 6) for seed in range(3)]
+    graphs.append(reduce_hc_to_msp(generalized_petersen(5, 2))[0])
+    for g in graphs:
+        zh_solve(g)
+    assert len(checked) > 300 and sum(map(bool, checked)) > 150
 
 
 def test_necessity_on_random_instances():
