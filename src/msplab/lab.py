@@ -20,7 +20,9 @@ import os
 import re
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
 from multiprocessing import Pool
+from operator import or_
 from pathlib import Path
 
 import numpy as np
@@ -50,13 +52,6 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mask_from_bits(bits: np.ndarray) -> int:
-    if bits.size == 0:
-        return 0
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 # -- generation --------------------------------------------------------------
 
 
@@ -77,6 +72,8 @@ class GenShape:
             raise ValueError("outer stages hold exactly one vertex")
         if any(w < 1 for w in self.widths):
             raise ValueError("unsatisfiable shape: zero-width stage")
+        if any(w > MAX_COUNT for w in self.widths):
+            raise ValueError(f"need widths of at most {MAX_COUNT}")
         for p in (self.edge_density, self.eset_density):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"density {p} outside [0, 1]")
@@ -85,59 +82,50 @@ class GenShape:
 def gen_msp(shape: GenShape) -> MultistageGraph:
     """Stage-layered random instance; identical shape+seed gives identical bytes.
 
-    Candidate edges between consecutive stages are kept with the edge
-    density, the graph is then repaired so every kept vertex and edge lies on
-    a source-to-sink path, and only then is each (vertex, edge) edge-set
-    membership sampled with the eset density.
+    The edge stream draws one double per candidate edge in (stage, source
+    index, target index) order and keeps those below the edge density.  The
+    graph is repaired to the vertices and edges on source-to-sink paths.
+    Only if an edge is left is the edge-set stream created: one row per
+    non-source vertex in id order (by stage, then name), one double per edge
+    id, a member wherever the double is below the eset density.
     """
     shape.check()
-    stages = shape.stages
-    names: list[list[str]] = []
-    for stage, width in enumerate(shape.widths):
-        if stage == 0:
-            names.append(["S"])
-        elif stage == stages:
-            names.append(["D"])
-        else:
-            names.append([f"v{stage}_{i}" for i in range(width)])
+    stages, widths = shape.stages, shape.widths
+    size = sum(a * b for a, b in zip(widths, widths[1:]))
+    draws = _stream(shape.seed, _STREAM_EDGES).random(size)
+    bits = int.from_bytes(np.packbits(draws < shape.edge_density, bitorder="little"), "little")
+    # forward: rows[k - 1][a] masks the kept stage-k targets of vertex a of
+    # stage k - 1 (0 unless a is reachable); no path means no edge survives
+    rows, reach = [], 1
+    for k in range(1, stages + 1):
+        w, full = widths[k], (1 << widths[k]) - 1
+        row = [bits >> (a * w) & full if reach >> a & 1 else 0 for a in range(widths[k - 1])]
+        bits >>= widths[k - 1] * w
+        reach = reduce(or_, row)
+        if not reach:
+            return MultistageGraph(stages, [("S", 0), ("D", stages)], [], {"D": ()})
+        rows.append(row)
 
-    candidates: list[tuple[str, str, int]] = []
-    for stage in range(1, stages + 1):
-        for src in names[stage - 1]:
-            for dst in names[stage]:
-                candidates.append((src, dst, stage))
-    coins = _stream(shape.seed, _STREAM_EDGES).random(len(candidates))
-    sampled = [t for t, c in zip(candidates, coins) if c < shape.edge_density]
+    # backward from the sink: keep the edges into vertices that reach it
+    names, vertices, edges = {0: "D"}, [("D", stages)], []
+    for k in range(stages, 0, -1):
+        live, src_names = sum(1 << b for b in names), {}
+        for a, targets in enumerate(rows[k - 1]):
+            targets &= live
+            if targets:
+                src = src_names[a] = f"v{k - 1}_{a}" if k > 1 else "S"
+                vertices.append((src, k - 1))
+                while targets:
+                    low = targets & -targets
+                    edges.append((src, names[low.bit_length() - 1], k))
+                    targets ^= low
+        names = src_names
 
-    # repair: keep exactly the vertices and edges on source-to-sink paths
-    fwd = {"S"}
-    per_stage_out: dict[int, list[tuple[str, str]]] = {k: [] for k in range(1, stages + 1)}
-    for src, dst, stage in sampled:
-        per_stage_out[stage].append((src, dst))
-    for stage in range(1, stages + 1):
-        fwd.update(dst for src, dst in per_stage_out[stage] if src in fwd)
-    bwd = {"D"}
-    for stage in range(stages, 0, -1):
-        bwd.update(src for src, dst in per_stage_out[stage] if dst in bwd)
-    kept_edges = [t for t in sampled if t[0] in fwd and t[1] in bwd]
-    kept_names = {n for t in kept_edges for n in (t[0], t[1])} | {"S", "D"}
-    vertices = [
-        (n, stage) for stage, row in enumerate(names) for n in row if n in kept_names
-    ]
-
-    skeleton = MultistageGraph(stages, vertices, kept_edges, {})
-    nonsource = [
-        name
-        for stage in range(1, stages + 1)
-        for name in skeleton.stage_vertex_names(stage)
-    ]
-    m = skeleton.edge_count
-    coins = _stream(shape.seed, _STREAM_ESETS).random((len(nonsource), m))
-    esets = {
-        name: _mask_from_bits(coins[i] < shape.eset_density)
-        for i, name in enumerate(nonsource)
-    }
-    return skeleton.replace_esets(esets)
+    g = MultistageGraph(stages, vertices, edges, {})
+    nonsource, m = g.vertex_names()[1:], g.edge_count
+    draws = _stream(shape.seed, _STREAM_ESETS).random((len(nonsource), m))
+    bits = int.from_bytes(np.packbits(draws < shape.eset_density, bitorder="little"), "little")
+    return g.replace_esets({v: bits >> (i * m) & g.full_mask for i, v in enumerate(nonsource)})
 
 
 def gen_ugraph(n: int, q: float, seed: int) -> UndirectedGraph:
@@ -336,8 +324,8 @@ class CampaignConfig:
             raise ValueError("instances must be at least 0")
         if not 1 <= self.stages_min <= self.stages_max <= MAX_COUNT:
             raise ValueError(f"need 1 <= stages_min <= stages_max <= {MAX_COUNT}")
-        if self.width_max < 1:
-            raise ValueError("width_max must be at least 1")
+        if not 1 <= self.width_max <= MAX_COUNT:
+            raise ValueError(f"need 1 <= width_max <= {MAX_COUNT}")
         if not self.eset_densities:
             raise ValueError("eset_densities is empty")
         for p in (self.edge_density, *self.eset_densities):
@@ -389,7 +377,7 @@ def shape_for_seed(config: CampaignConfig, seed: int) -> GenShape:
     """Deterministic per-seed shape drawn from the configured ranges."""
     rng = _stream(seed, _STREAM_SHAPE)
     stages = int(rng.integers(config.stages_min, config.stages_max + 1))
-    widths = (1, *(int(w) for w in rng.integers(1, config.width_max + 1, size=stages - 1)), 1)
+    widths = (1, *rng.integers(1, config.width_max + 1, size=stages - 1).tolist(), 1)
     density = config.eset_densities[int(rng.integers(0, len(config.eset_densities)))]
     return GenShape(
         stages=stages,

@@ -175,6 +175,7 @@ def test_fuzz_default_out_from_environment(capsys, tmp_path, monkeypatch):
         "workers = 0",
         "minimize_budget = 0",
         "stages_max = 1001",
+        "width_max = 1001",
         "instances = 5\ninstances = 7",
         "instances = 1_0",
         "instances = +4",
@@ -291,6 +292,8 @@ def test_fuzz_out_naming_a_file_exits_file_error(capsys, tmp_path):
             parse_instance,
         ),
         (["gen-graph", "--edge-prob", "0", "--vertices"], "1000", "1001", parse_ugraph),
+        # a stage wider than the parsers' count is refused before anything is built
+        (["gen-msp", "--widths"], "1,1000,1", "1,100000000,1", parse_instance),
     ],
 )
 def test_generators_write_only_what_the_parsers_read(capsys, tmp_path, argv, most, too_many, parse):
@@ -338,7 +341,14 @@ def test_bench_smoke(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--widths", "2,x"), ("--reps", "0"), ("--widths", "3"), ("--widths", "3,3")]
+    "flag,value",
+    [
+        ("--widths", "2,x"),
+        ("--reps", "0"),
+        ("--widths", "3"),
+        ("--widths", "3,3"),
+        ("--widths", "2,1001"),
+    ],
 )
 def test_bench_bad_input_exits_format_error(capsys, flag, value):
     """One edge count has no slope: it exits 4 instead of printing one."""

@@ -12,20 +12,31 @@ trace and ``outer_sweeps`` go into one sha256 as sorted-key JSON.  Any
 change to the solver's caches or operators must leave that digest alone.
 A change that alters these outputs on purpose updates ``DIGEST`` and says
 so in CHANGES.md.  The test is skipped where networkx is not installed.
+
+``GEN_DIGEST`` pins the generator the same way: one sha256 over the
+serialized ``gen_msp`` instances of the first 3,000 default campaign seeds,
+of shapes with widths of 11 or more (where ``v1_10`` sorts before ``v1_2``,
+so edge ids do not follow vertex indices), and of every pairing of edge and
+edge-set densities 0, 0.5 and 1.  It needs no networkx.  A change that
+alters the generator's draws on purpose updates ``GEN_DIGEST`` and says so
+in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
-from msplab.lab import CampaignConfig, gen_msp, gen_ugraph, shape_for_seed
+from msplab.formats import serialize_instance
+from msplab.lab import CampaignConfig, GenShape, gen_msp, gen_ugraph, shape_for_seed
 from msplab.reduction import UndirectedGraph, reduce_hc_to_msp
 from msplab.zh import zh_solve
 
 DIGEST = "637e334a870883a2a7d943f0daf979ebf6c1f7daca4fe047a3a4c06b5e1d16af"
+GEN_DIGEST = "512cc01d166180f49e1a3d8906681de3c48ab871caf80249ba81a61bc02d347f"
 
 
 def corpus():
@@ -60,3 +71,23 @@ def test_solver_outputs_match_golden_digest():
         }
         h.update(json.dumps(record, sort_keys=True).encode())
     assert h.hexdigest() == DIGEST
+
+
+def gen_corpus():
+    config = CampaignConfig()
+    for seed in range(3000):
+        yield shape_for_seed(config, seed)
+    for seed in (0, 1, 2, 3, -1, 2**64 + 3):
+        yield GenShape(3, (1, 12, 11, 1), 0.4, 0.5, seed)
+        yield GenShape(4, (1, 14, 3, 13, 1), 0.3, 0.8, seed)
+        yield GenShape(5, (1, 11, 11, 11, 11, 1), 0.25, 0.3, seed)
+    for seed, (p, q) in enumerate(itertools.product((0.0, 0.5, 1.0), repeat=2)):
+        yield GenShape(4, (1, 3, 11, 2, 1), p, q, seed)
+        yield GenShape(1, (1, 1), p, q, seed)
+
+
+def test_generator_output_matches_golden_digest():
+    h = hashlib.sha256()
+    for shape in gen_corpus():
+        h.update(serialize_instance(gen_msp(shape)).encode())
+    assert h.hexdigest() == GEN_DIGEST

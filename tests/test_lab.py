@@ -3,7 +3,10 @@ from __future__ import annotations
 import itertools
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msplab import lab
 from msplab.formats import MAX_COUNT, parse_instance, serialize_instance
@@ -25,7 +28,7 @@ from msplab.lab import (
     shape_for_seed,
     vec_metric,
 )
-from msplab.model import validate
+from msplab.model import MultistageGraph, validate
 from msplab.oracle import SearchBudget, oracle_simple_path
 from msplab.reduction import UndirectedGraph, reduce_hc_to_msp
 from msplab.zh import zh_solve
@@ -81,6 +84,87 @@ def test_density_one_makes_any_route_simple():
         assert zh_solve(g).answer == expects
 
 
+def set_based_gen_msp(shape: GenShape) -> MultistageGraph:
+    """The generator written over name sets and candidate triples, kept as
+    the oracle that the mask-based ``gen_msp`` must match byte for byte."""
+    shape.check()
+    stages = shape.stages
+    names: list[list[str]] = []
+    for stage, width in enumerate(shape.widths):
+        if stage == 0:
+            names.append(["S"])
+        elif stage == stages:
+            names.append(["D"])
+        else:
+            names.append([f"v{stage}_{i}" for i in range(width)])
+
+    candidates: list[tuple[str, str, int]] = []
+    for stage in range(1, stages + 1):
+        for src in names[stage - 1]:
+            for dst in names[stage]:
+                candidates.append((src, dst, stage))
+    coins = lab._stream(shape.seed, lab._STREAM_EDGES).random(len(candidates))
+    sampled = [t for t, c in zip(candidates, coins) if c < shape.edge_density]
+
+    fwd = {"S"}
+    per_stage_out: dict[int, list[tuple[str, str]]] = {k: [] for k in range(1, stages + 1)}
+    for src, dst, stage in sampled:
+        per_stage_out[stage].append((src, dst))
+    for stage in range(1, stages + 1):
+        fwd.update(dst for src, dst in per_stage_out[stage] if src in fwd)
+    bwd = {"D"}
+    for stage in range(stages, 0, -1):
+        bwd.update(src for src, dst in per_stage_out[stage] if dst in bwd)
+    kept_edges = [t for t in sampled if t[0] in fwd and t[1] in bwd]
+    kept_names = {n for t in kept_edges for n in (t[0], t[1])} | {"S", "D"}
+    vertices = [
+        (n, stage) for stage, row in enumerate(names) for n in row if n in kept_names
+    ]
+
+    skeleton = MultistageGraph(stages, vertices, kept_edges, {})
+    nonsource = [
+        name
+        for stage in range(1, stages + 1)
+        for name in skeleton.stage_vertex_names(stage)
+    ]
+    m = skeleton.edge_count
+    coins = lab._stream(shape.seed, lab._STREAM_ESETS).random((len(nonsource), m))
+    esets = {}
+    for i, name in enumerate(nonsource):
+        packed = np.packbits((coins[i] < shape.eset_density).astype(np.uint8), bitorder="little")
+        esets[name] = int.from_bytes(packed.tobytes(), "little")
+    return skeleton.replace_esets(esets)
+
+
+densities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+seeds = st.one_of(
+    st.integers(-(2**80), -1), st.integers(0, 2**64 - 1), st.integers(2**64, 2**80)
+)
+
+
+@st.composite
+def gen_shapes(draw):
+    stages = draw(st.integers(1, 6))
+    inner = draw(st.lists(st.integers(1, 14), min_size=stages - 1, max_size=stages - 1))
+    return GenShape(stages, (1, *inner, 1), draw(densities), draw(densities), draw(seeds))
+
+
+@settings(max_examples=200)
+@given(gen_shapes())
+def test_gen_msp_matches_the_set_based_generator(shape):
+    g = gen_msp(shape)
+    want = set_based_gen_msp(shape)
+    assert g == want
+    assert serialize_instance(g) == serialize_instance(want)
+
+
+@given(seeds)
+def test_shape_widths_are_plain_ints(seed):
+    shape = shape_for_seed(CampaignConfig(), seed)
+    assert all(type(w) is int for w in shape.widths)
+    assert type(shape.stages) is int
+
+
 def test_unsatisfiable_shape_rejected():
     with pytest.raises(ValueError, match="zero-width"):
         GenShape(3, (1, 0, 2, 1), 0.5, 0.5, seed=1).check()
@@ -94,11 +178,15 @@ def test_generators_stop_at_the_parsers_limit():
     """A count above ``formats.MAX_COUNT`` would make a file the parsers
     reject with E_TOO_LARGE, so the generators and campaigns refuse it."""
     GenShape(MAX_COUNT, (1,) * (MAX_COUNT + 1), 0.5, 0.5, seed=1).check()
-    CampaignConfig(stages_max=MAX_COUNT).check()
+    GenShape(2, (1, MAX_COUNT, 1), 0.5, 0.5, seed=1).check()
+    CampaignConfig(stages_max=MAX_COUNT, width_max=MAX_COUNT).check()
     too_many = [
         lambda: GenShape(MAX_COUNT + 1, (1,) * (MAX_COUNT + 2), 0.5, 0.5, seed=1).check(),
+        lambda: GenShape(2, (1, MAX_COUNT + 1, 1), 0.5, 0.5, seed=1).check(),
+        lambda: gen_msp(GenShape(2, (1, 10**8, 1), 0.5, 0.5, seed=1)),
         lambda: gen_ugraph(MAX_COUNT + 1, 0.5, 0),
         lambda: CampaignConfig(stages_max=MAX_COUNT + 1).check(),
+        lambda: CampaignConfig(width_max=10**9).check(),
     ]
     for make in too_many:
         with pytest.raises(ValueError, match=str(MAX_COUNT)):
