@@ -24,7 +24,6 @@ from .formats import (
 from .lab import (
     CampaignConfig,
     GenShape,
-    bench_scaling,
     counterexample_predicate,
     gen_msp,
     gen_ugraph,
@@ -224,24 +223,6 @@ def _cmd_minimize(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    try:
-        widths = tuple(int(w) for w in args.widths.split(","))
-        rows, slope = bench_scaling(widths=widths, stages=args.stages, reps=args.reps)
-    except ValueError as exc:
-        raise _CliFailure(EXIT_FORMAT, f"bad bench input: {exc}") from exc
-    if args.machine:
-        print(json.dumps({"command": "bench", "rows": rows, "slope": slope}, sort_keys=True))
-    else:
-        for row in rows:
-            print(
-                f"width {row['width']:>3}  |V| {row['vertices']:>5}  |E| {row['edges']:>6}  "
-                f"{row['seconds'] * 1000:9.2f} ms  {row['answer']}"
-            )
-        print(f"log-log slope: {slope:.2f}")
-    return EXIT_OK
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msplab",
@@ -301,13 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-max-nodes", type=int, default=10_000_000)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_minimize)
-
-    p = sub.add_parser("bench", help="wall-time scaling study over growing instances")
-    p.add_argument("--widths", default="2,3,4,6")
-    p.add_argument("--stages", type=int, default=6)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--machine", action="store_true")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

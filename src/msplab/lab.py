@@ -640,51 +640,3 @@ def run_differential(
 def _worker(args) -> dict:
     config, seed = args
     return run_instance(config, seed)
-
-
-# -- scaling study ------------------------------------------------------------
-
-
-def bench_scaling(
-    widths: tuple[int, ...] = (2, 3, 4, 6),
-    stages: int = 6,
-    reps: int = 3,
-) -> tuple[list[dict], float]:
-    """Solve a family of growing width (complete stage links, edge-set
-    density 0.5, seed 0) and fit a log-log slope of wall time against edge
-    count; the widths must give at least two edge counts."""
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    family = []
-    for width in widths:
-        shape = GenShape(
-            stages=stages,
-            widths=(1, *(width,) * (stages - 1), 1),
-            edge_density=1.0,
-            eset_density=0.5,
-            seed=0,
-        )
-        family.append((width, gen_msp(shape)))
-    if len({g.edge_count for _, g in family}) < 2:
-        raise ValueError("a slope needs widths giving at least two distinct edge counts")
-    rows = []
-    for width, g in family:
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            result = zh_solve(g)
-            times.append(time.perf_counter() - t0)
-        rows.append(
-            {
-                "width": width,
-                "vertices": g.vertex_count(),
-                "edges": g.edge_count,
-                "answer": result.answer,
-                "sweeps": result.metrics.outer_sweeps,
-                "seconds": sorted(times)[len(times) // 2],
-            }
-        )
-    xs = np.log([row["edges"] for row in rows])
-    ys = np.log([max(row["seconds"], 1e-9) for row in rows])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return rows, slope

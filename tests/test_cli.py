@@ -334,28 +334,15 @@ def test_minimize_abnormal_termination_exits_internal(capsys, monkeypatch):
     assert "no fixpoint" in err
 
 
-def test_bench_smoke(capsys):
-    status, out, _ = run_cli(capsys, "bench", "--widths", "2,3", "--stages", "4", "--reps", "1")
-    assert status == EXIT_OK
-    assert "slope" in out
-
-
-@pytest.mark.parametrize(
-    "flag,value",
-    [
-        ("--widths", "2,x"),
-        ("--reps", "0"),
-        ("--widths", "3"),
-        ("--widths", "3,3"),
-        ("--widths", "2,1001"),
-    ],
-)
-def test_bench_bad_input_exits_format_error(capsys, flag, value):
-    """One edge count has no slope: it exits 4 instead of printing one."""
-    status, out, err = run_cli(capsys, "bench", "--widths", "2,3", "--stages", "3", flag, value)
+@pytest.mark.parametrize("widths", ["1,x,1", "1,0,1", "1"])
+def test_gen_msp_bad_shape_exits_format_error(capsys, tmp_path, widths):
+    """A width that is not an integer, a zero-width stage or a one-item
+    width list (no stage at all) is a format error with no output."""
+    target = tmp_path / "out.msp"
+    status, out, err = run_cli(capsys, "gen-msp", "--widths", widths, "-o", str(target))
     assert status == EXIT_FORMAT
-    assert "bad bench input" in err
-    assert out == ""
+    assert "bad shape" in err
+    assert out == "" and not target.exists()
 
 
 @pytest.mark.parametrize(
@@ -410,6 +397,8 @@ def test_solve_rejects_a_huge_stage_count_as_a_format_error(capsys, tmp_path):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve"])  # missing instance argument
-    assert exc.value.code == 2
+    # a missing instance argument; an unknown subcommand
+    for argv in (["solve"], ["bench"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
 
 import msplab
+from msplab import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def python_api_section() -> str:
+def readme_section(title: str) -> str:
     text = README.read_text(encoding="utf-8")
-    start = text.index("\n## Python API\n")
+    start = text.index(f"\n## {title}\n")
     end = text.index("\n## ", start + 1)
     return text[start:end]
 
@@ -18,7 +20,7 @@ def python_api_section() -> str:
 def test_every_public_name_resolves_and_is_documented():
     """Each name in ``msplab.__all__`` is importable from the package and
     named (in backticks) in the README's "Python API" section."""
-    section = python_api_section()
+    section = readme_section("Python API")
     assert len(set(msplab.__all__)) == len(msplab.__all__)
     missing = []
     for name in msplab.__all__:
@@ -26,3 +28,16 @@ def test_every_public_name_resolves_and_is_documented():
         if not re.search(r"`" + re.escape(name) + r"(?![\w])", section):
             missing.append(name)
     assert missing == []
+
+
+def test_readme_command_block_lists_every_subcommand():
+    """The subcommands in the README's "Command line" block are exactly the
+    ones the parser registers."""
+    block = readme_section("Command line").split("```")[1]
+    documented = set(re.findall(r"(?:^|\| )msplab ([\w-]+)", block, re.MULTILINE))
+    (subparsers,) = (
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert documented == set(subparsers.choices)

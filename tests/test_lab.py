@@ -18,7 +18,6 @@ from msplab.lab import (
     UNKNOWN,
     CampaignConfig,
     GenShape,
-    bench_scaling,
     classify,
     gen_msp,
     gen_ugraph,
@@ -476,10 +475,3 @@ def test_campaign_counterexample_path_is_archived_and_minimized(tmp_path, monkey
         assert oracle_simple_path(small).answer == "NO"
         if len(vec_metric(small)) == len(vec_metric(big)):
             assert vec_metric(small) <= vec_metric(big)
-
-
-def test_bench_scaling_slope_is_polynomial():
-    rows, slope = bench_scaling(widths=(2, 3, 4), stages=5, reps=2)
-    assert len(rows) == 3
-    assert rows[-1]["edges"] > rows[0]["edges"]
-    assert slope < 9.0
