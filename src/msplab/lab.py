@@ -22,7 +22,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import reduce
 from multiprocessing import Pool
-from operator import or_
+from operator import mul, or_
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,11 @@ _STREAM_EDGES = 1
 _STREAM_ESETS = 2
 _STREAM_UGRAPH = 3
 _STREAM_SHAPE = 4
+# Largest edge-set draw gen_msp may make, in (non-source vertex, candidate
+# edge) cells before repair: one 8-byte double and one 1-byte flag per cell,
+# 36 MiB at the cap.  The widest shape the parsers read, (1, 1000, 1), draws
+# 1,001 x 2,000 cells.
+MAX_DRAW_CELLS = 1 << 22
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
@@ -53,6 +58,13 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
 
 
 # -- generation --------------------------------------------------------------
+
+
+def _check_draw(widths: tuple[int, ...]) -> None:
+    """Refuse ``widths`` whose worst-case edge-set draw exceeds the cap."""
+    cells = sum(widths[1:]) * sum(map(mul, widths, widths[1:]))
+    if cells > MAX_DRAW_CELLS:
+        raise ValueError(f"edge-set draw of {cells:,} cells exceeds {MAX_DRAW_CELLS:,}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,7 @@ class GenShape:
         for p in (self.edge_density, self.eset_density):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"density {p} outside [0, 1]")
+        _check_draw(self.widths)
 
 
 def gen_msp(shape: GenShape) -> MultistageGraph:
@@ -326,6 +339,7 @@ class CampaignConfig:
             raise ValueError(f"need 1 <= stages_min <= stages_max <= {MAX_COUNT}")
         if not 1 <= self.width_max <= MAX_COUNT:
             raise ValueError(f"need 1 <= width_max <= {MAX_COUNT}")
+        _check_draw((1, *(self.width_max,) * (self.stages_max - 1), 1))  # the largest shape
         if not self.eset_densities:
             raise ValueError("eset_densities is empty")
         for p in (self.edge_density, *self.eset_densities):

@@ -34,24 +34,6 @@ class AbnormalTerminationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class VertexId:
-    name: str
-    stage: int
-
-
-@dataclass(frozen=True)
-class EdgeRef:
-    src: VertexId
-    dst: VertexId
-    stage: int
-    id: int
-
-    @property
-    def triple(self) -> EdgeTriple:
-        return (self.src.name, self.dst.name, self.stage)
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     violations: tuple[tuple[str, str, str], ...]  # (code, location, message)
@@ -102,7 +84,6 @@ class MultistageGraph:
         "_esets",
         "edge_count",
         "full_mask",
-        "_edge_refs",
     )
 
     def __init__(
@@ -190,12 +171,8 @@ class MultistageGraph:
                 mask |= 1 << self._eindex[t]
             eset_masks[self._vindex[vname]] = mask
         self._esets = tuple(eset_masks)
-        self._edge_refs = None
 
-    # -- vertex / edge views ------------------------------------------------
-
-    def vertex(self, name: str) -> VertexId:
-        return VertexId(name, self._vstage[self._vindex[name]])
+    # -- vertices and edges: names and dense ids ----------------------------
 
     def vertex_names(self) -> tuple[str, ...]:
         return self._vnames
@@ -205,24 +182,6 @@ class MultistageGraph:
 
     def stage_vertex_names(self, stage: int) -> tuple[str, ...]:
         return tuple(self._vnames[i] for i in self._stage_vertices[stage])
-
-    @property
-    def edges(self) -> tuple[EdgeRef, ...]:
-        if self._edge_refs is None:
-            refs = tuple(
-                EdgeRef(
-                    VertexId(self._vnames[self._efrom[i]], self._vstage[self._efrom[i]]),
-                    VertexId(self._vnames[self._eto[i]], self._vstage[self._eto[i]]),
-                    self._estage[i],
-                    i,
-                )
-                for i in range(self.edge_count)
-            )
-            self._edge_refs = refs
-        return self._edge_refs
-
-    def edge(self, eid: int) -> EdgeRef:
-        return self.edges[eid]
 
     def edge_id(self, src: str, dst: str, stage: int) -> int:
         return self._eindex[(src, dst, stage)]
@@ -357,15 +316,3 @@ def validate(g: MultistageGraph) -> ValidationReport:
         elif g._esets[i] is None:
             violations.append(("MISSING_ESET", f"vertex {name}", "vertex has no edge set"))
     return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def stage_slice(es: EdgeSet, i: int, j: int, g: MultistageGraph) -> EdgeSet:
-    """Edges of ``es`` with stage in [i, j]; empty when i > j.
-
-    Both bounds must lie in [1, L].
-    """
-    if not (1 <= i <= g.stage_count) or not (1 <= j <= g.stage_count):
-        raise ValueError(f"slice bounds [{i}:{j}] outside [1, {g.stage_count}]")
-    if i > j:
-        return 0
-    return es & g.span_mask(i, j)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 from .model import MultistageGraph, validate
 from .reduction import UndirectedGraph
@@ -48,34 +49,31 @@ class OracleResult:
     budget_used: float  # seconds
 
 
-def verify_simple_path(g: MultistageGraph, path) -> bool:
+def verify_simple_path(g: MultistageGraph, path: Sequence[str]) -> bool:
     """True iff ``path`` (vertex names, source to sink) satisfies the
     prefix-containment rule at every vertex.
 
     Raises :class:`PathStructureError` if the path is not an edge-connected,
     stage-monotone source-to-sink path.
     """
-    names = [v.name if hasattr(v, "name") else v for v in path]
-    if len(names) != g.stage_count + 1:
-        raise PathStructureError(
-            f"path visits {len(names)} vertices, need {g.stage_count + 1}"
-        )
-    if names[0] != g.source_name():
-        raise PathStructureError(f"path starts at {names[0]!r}, not the source")
-    if names[-1] != g.sink_name():
-        raise PathStructureError(f"path ends at {names[-1]!r}, not the sink")
+    if len(path) != g.stage_count + 1:
+        raise PathStructureError(f"path visits {len(path)} vertices, need {g.stage_count + 1}")
+    if path[0] != g.source_name():
+        raise PathStructureError(f"path starts at {path[0]!r}, not the source")
+    if path[-1] != g.sink_name():
+        raise PathStructureError(f"path ends at {path[-1]!r}, not the sink")
     prefix = 0
     for stage in range(1, g.stage_count + 1):
         try:
-            eid = g.edge_id(names[stage - 1], names[stage], stage)
+            eid = g.edge_id(path[stage - 1], path[stage], stage)
         except KeyError:
             raise PathStructureError(
-                f"no stage-{stage} edge {names[stage - 1]!r} -> {names[stage]!r}"
+                f"no stage-{stage} edge {path[stage - 1]!r} -> {path[stage]!r}"
             ) from None
         prefix |= 1 << eid
-        if not g.has_eset(names[stage]):
+        if not g.has_eset(path[stage]):
             return False
-        if prefix & ~g.eset(names[stage]):
+        if prefix & ~g.eset(path[stage]):
             return False
     return True
 

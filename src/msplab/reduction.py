@@ -13,6 +13,7 @@ through the stage copies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .model import AbnormalTerminationError, EdgeTriple, MultistageGraph
 
@@ -146,8 +147,9 @@ def reduce_hc_to_msp(
     return graph, rmap
 
 
-def lift_path(rmap: ReductionMap, path) -> tuple[int, ...]:
-    """Map a verified simple path of the reduced graph back to a circuit.
+def lift_path(rmap: ReductionMap, path: Sequence[str]) -> tuple[int, ...]:
+    """Map a verified simple path of the reduced graph (vertex names,
+    source to sink) back to a circuit.
 
     Rejects paths that fail verification.  The result is
     (pivot, u_1, ..., u_{n-1}, pivot).
@@ -160,9 +162,8 @@ def lift_path(rmap: ReductionMap, path) -> tuple[int, ...]:
         raise LiftError(f"not a source-to-sink staged path: {exc}") from exc
     if not ok:
         raise LiftError("path is not a simple path of the reduced graph")
-    names = [v.name if hasattr(v, "name") else v for v in path]
     circuit = [rmap.pivot]
-    for name in names[1:-1]:
+    for name in path[1:-1]:
         circuit.append(rmap.source_vertex_of(name))
     circuit.append(rmap.pivot)
     return tuple(circuit)

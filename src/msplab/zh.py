@@ -58,15 +58,15 @@ class ZhResult:
 def zh_solve(
     g: MultistageGraph,
     *,
-    max_sweeps: int | None = None,
     trace: list[dict[str, Any]] | None = None,
 ) -> ZhResult:
     """Decide simple-path existence; YES iff the final contraction of the
     sink's edge set is nonempty.
 
-    ``max_sweeps`` caps the outer sweeps (default: the proven monotone
-    bound); exceeding it raises :class:`AbnormalTerminationError`.  Events
-    are appended to ``trace`` when it is given.
+    The outer sweeps are capped by the proven monotone bound, one more than
+    the total size of the initial reachable sets; exceeding it raises
+    :class:`AbnormalTerminationError`.  Events are appended to ``trace``
+    when it is given.
     """
     started = time.perf_counter()
     report = validate(g)
@@ -100,14 +100,12 @@ def zh_solve(
         )
 
     sweep_bound = 1 + sum(m.bit_count() for m in entries)
-    if max_sweeps is None:
-        max_sweeps = sweep_bound
     sweeps = 0
     while True:
         sweeps += 1
-        if sweeps > max_sweeps:
+        if sweeps > sweep_bound:
             raise AbnormalTerminationError(
-                f"no fixpoint after {sweeps - 1} sweeps (bound {max_sweeps})"
+                f"no fixpoint after {sweeps - 1} sweeps (bound {sweep_bound})"
             )
         deleted_before = r.bits_deleted
         for stage in range(1, stage_limit):

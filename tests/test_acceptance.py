@@ -154,10 +154,11 @@ def test_criterion_4_operator_properties():
             for i in range(1000):
                 g, r = instances[i % len(instances)]
                 names = g.vertex_names()
+                stage = dict(g.document_data()[0])
                 es = rnd.randrange(g.full_mask + 1) if g.full_mask else 0
                 u = rnd.choice(names)
                 v = rnd.choice(names)
-                if g.vertex(u).stage > g.vertex(v).stage:
+                if stage[u] > stage[v]:
                     u, v = v, u
                 tided = tidy(es, u, v, g)
                 assert tided & ~es == 0, label
@@ -168,7 +169,7 @@ def test_criterion_4_operator_properties():
                 assert comp(contracted, target, r, g) == contracted, label
                 if g.edge_count:
                     eid = rnd.randrange(g.edge_count)
-                    prior = r.get(eid)
+                    prior = r.entries[eid]
                     assert change(r, eid, g) & ~prior == 0, label
 
 

@@ -345,6 +345,23 @@ def test_gen_msp_bad_shape_exits_format_error(capsys, tmp_path, widths):
     assert out == "" and not target.exists()
 
 
+def test_gen_msp_refuses_an_oversized_draw_before_drawing(capsys, tmp_path, monkeypatch):
+    """Four 1,000-wide stages would make the edge-set draw ask numpy for
+    gigabytes; the shape check refuses them before any stream is drawn."""
+
+    def no_draw(*args):
+        raise AssertionError("gen-msp drew before checking the shape")
+
+    monkeypatch.setattr(lab, "_stream", no_draw)
+    target = tmp_path / "out.msp"
+    widths = "1,1000,1000,1000,1000,1"
+    status, out, err = run_cli(capsys, "gen-msp", "--widths", widths, "-o", str(target))
+    assert status == EXIT_FORMAT
+    assert "bad shape" in err and "cells exceeds" in err
+    assert len(err.splitlines()) == 1  # a message, not a traceback
+    assert out == "" and not target.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

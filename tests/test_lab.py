@@ -178,7 +178,8 @@ def test_generators_stop_at_the_parsers_limit():
     reject with E_TOO_LARGE, so the generators and campaigns refuse it."""
     GenShape(MAX_COUNT, (1,) * (MAX_COUNT + 1), 0.5, 0.5, seed=1).check()
     GenShape(2, (1, MAX_COUNT, 1), 0.5, 0.5, seed=1).check()
-    CampaignConfig(stages_max=MAX_COUNT, width_max=MAX_COUNT).check()
+    CampaignConfig(stages_max=MAX_COUNT, width_max=1).check()
+    CampaignConfig(stages_min=1, stages_max=2, width_max=MAX_COUNT).check()
     too_many = [
         lambda: GenShape(MAX_COUNT + 1, (1,) * (MAX_COUNT + 2), 0.5, 0.5, seed=1).check(),
         lambda: GenShape(2, (1, MAX_COUNT + 1, 1), 0.5, 0.5, seed=1).check(),
@@ -190,6 +191,22 @@ def test_generators_stop_at_the_parsers_limit():
     for make in too_many:
         with pytest.raises(ValueError, match=str(MAX_COUNT)):
             make()
+
+
+def test_generator_draw_is_capped():
+    """A shape whose edge-set draw could exceed ``lab.MAX_DRAW_CELLS``
+    (non-source vertices x candidate edges) is refused before anything is
+    drawn, and so is a campaign whose largest shape could."""
+    assert 1001 * 2000 <= lab.MAX_DRAW_CELLS  # (1, MAX_COUNT, 1) passes above
+    for make in [
+        lambda: gen_msp(GenShape(3, (1, MAX_COUNT, MAX_COUNT, 1), 0.5, 0.5, seed=1)),
+        lambda: CampaignConfig(stages_max=MAX_COUNT, width_max=MAX_COUNT).check(),
+        # widths (1, 6 x 140, 1): 841 vertices x 5,016 edges
+        lambda: CampaignConfig(stages_max=141, width_max=6).check(),
+    ]:
+        with pytest.raises(ValueError, match="cells exceeds"):
+            make()
+    CampaignConfig(stages_max=140, width_max=6).check()  # 835 x 4,980 cells
 
 
 def test_gen_ugraph_extremes_and_determinism():
@@ -268,9 +285,7 @@ def _fan_graph():
 
 
 def _two_stage2_edges(g):
-    from msplab.model import stage_slice
-
-    return stage_slice(g.full_mask, 2, 2, g).bit_count() >= 2
+    return g.span_mask(2, 2).bit_count() >= 2
 
 
 def test_minimizer_on_synthetic_predicate():
@@ -278,9 +293,7 @@ def test_minimizer_on_synthetic_predicate():
     small = minimize(g, _two_stage2_edges, budget=4000)
     assert _two_stage2_edges(small)
     assert validate(small).ok
-    from msplab.model import stage_slice
-
-    assert stage_slice(small.full_mask, 2, 2, small).bit_count() == 2
+    assert small.span_mask(2, 2).bit_count() == 2
     # locally minimal: every single move now breaks the predicate or validity
     for move in lab._enumerate_moves(small):
         assert not _two_stage2_edges(lab._apply_move(small, move))

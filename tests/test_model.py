@@ -9,7 +9,6 @@ from msplab.model import (
     MultistageGraph,
     edge_ids,
     edge_set,
-    stage_slice,
     validate,
 )
 
@@ -20,6 +19,8 @@ def test_minimal_legal_graph_validates(chain_c):
     report = validate(chain_c)
     assert report.ok
     assert report.violations == ()
+    assert chain_c.source_name() == "S"
+    assert chain_c.sink_name() == "D"
 
 
 def test_two_sources_reported():
@@ -110,41 +111,32 @@ def test_eset_may_hold_edges_off_any_source_path():
 
 
 def test_stage_slice_examples(chain_c):
+    """A stage slice of ``es`` is ``es & span_mask(i, j)``."""
     es = chain_c.full_mask
-    assert edge_ids(stage_slice(es, 2, 3, chain_c)) == [1, 2]
-    assert stage_slice(es, 3, 2, chain_c) == 0
-    assert stage_slice(0, 1, 3, chain_c) == 0
-
-
-def test_stage_slice_range_errors(chain_c):
-    with pytest.raises(ValueError):
-        stage_slice(chain_c.full_mask, 0, 2, chain_c)
-    with pytest.raises(ValueError):
-        stage_slice(chain_c.full_mask, 1, 4, chain_c)
+    assert edge_ids(es & chain_c.span_mask(2, 3)) == [1, 2]
+    assert chain_c.span_mask(3, 2) == 0
+    assert chain_c.span_mask(1, 3) == es
+    assert chain_c.span_mask(0, 4) == es  # bounds outside [1, L] are clamped
 
 
 @given(data=st.data())
 def test_stage_slice_concatenation(data, sample_graph_pool):
+    """Slices [i, j] and [j + 1, k] split slice [i, k]; a slice with i > j
+    is empty, so either side may be."""
     g = data.draw(st.sampled_from(sample_graph_pool))
     es = data.draw(st.integers(min_value=0, max_value=g.full_mask))
     stages = g.stage_count
     i = data.draw(st.integers(min_value=1, max_value=stages))
-    j = data.draw(st.integers(min_value=i, max_value=stages))
-    k = data.draw(st.integers(min_value=j, max_value=stages))
-    if j < k:
-        left = stage_slice(es, i, j, g)
-        right = stage_slice(es, j + 1, k, g)
-        assert left | right == stage_slice(es, i, k, g)
-        assert left & right == 0
-
-
-def test_vertex_and_edge_views(chain_c):
-    assert chain_c.vertex("a").stage == 1
-    assert chain_c.source_name() == "S"
-    assert chain_c.sink_name() == "D"
-    ref = chain_c.edge(0)
-    assert ref.triple == ("S", "a", 1)
-    assert ref.src.name == "S" and ref.dst.stage == 1
+    k = data.draw(st.integers(min_value=i - 1, max_value=stages))
+    j = data.draw(st.integers(min_value=i - 1, max_value=k))
+    left = es & g.span_mask(i, j)
+    right = es & g.span_mask(j + 1, k)
+    assert left | right == es & g.span_mask(i, k)
+    assert left & right == 0
+    if i > j:
+        assert left == 0
+    if i > k:
+        assert g.span_mask(i, k) == 0
 
 
 def test_replace_esets_keeps_structure(chain_c):

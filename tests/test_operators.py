@@ -15,7 +15,6 @@ from msplab.operators import (
     change,
     comp,
     init_all,
-    init_reachable,
     tidy,
 )
 from msplab.reduction import reduce_hc_to_msp
@@ -67,11 +66,12 @@ def test_tidy_matches_reference_on_random_graphs():
         rg = ref.RefGraph(g)
         rnd = random.Random(1000 + seed)
         names = list(g.vertex_names())
+        stage = dict(g.document_data()[0])
         for _ in range(6):
             es = rnd.randrange(g.full_mask + 1) if g.full_mask else 0
             u = rnd.choice(names)
             v = rnd.choice(names)
-            if g.vertex(u).stage > g.vertex(v).stage:
+            if stage[u] > stage[v]:
                 u, v = v, u
             got = tidy(es, u, v, g)
             want = ref.tidy_ref(rg, triples_of(g, es), u, v)
@@ -94,13 +94,14 @@ def test_tidy_contraction_and_idempotence():
 
 
 def test_init_examples_chain(chain_c):
-    assert triples_of(chain_c, init_reachable(chain_c, chain_c.edge(0))) == {E2, E3}
-    assert triples_of(chain_c, init_reachable(chain_c, chain_c.edge(1))) == {E3}
-    assert init_reachable(chain_c, chain_c.edge(2)) == 0
+    entries = init_all(chain_c).entries
+    assert triples_of(chain_c, entries[0]) == {E2, E3}
+    assert triples_of(chain_c, entries[1]) == {E3}
+    assert entries[2] == 0
 
 
 def test_init_example_chain_cprime(chain_cprime):
-    assert init_reachable(chain_cprime, chain_cprime.edge(0)) == 0
+    assert init_all(chain_cprime).entries[0] == 0
     # no reachable path of e1 makes it to the sink
     rg = ref.RefGraph(chain_cprime)
     assert ref.reachable_paths_ref(rg, E1) == []
@@ -132,8 +133,9 @@ def test_init_matches_definition_everywhere():
     for seed in range(25):
         g = random_graph(seed, stages=3 + seed % 2)
         rg = ref.RefGraph(g)
+        entries = init_all(g).entries
         for eid in range(g.edge_count):
-            got = triples_of(g, init_reachable(g, eid))
+            got = triples_of(g, entries[eid])
             want = set()
             for path in ref.reachable_paths_ref(rg, g.edge_triple(eid)):
                 want.update(path)
@@ -145,9 +147,9 @@ def test_init_stage_soundness():
         g = random_graph(seed)
         r = init_all(g)
         for eid in range(g.edge_count):
-            floor = g.edge(eid).stage
+            floor = g.edge_triple(eid)[2]
             for member in edge_ids(r.entries[eid]):
-                assert g.edge(member).stage > floor
+                assert g.edge_triple(member)[2] > floor
 
 
 def test_init_all_holders_and_short_and_long_graphs():
@@ -250,7 +252,7 @@ def test_comp_matches_reference_as_entries_shrink():
                     assert triples_of(g, warm) == want, (gi, name, edge_ids(es), edge_ids(start))
                     warm_moved += warm != start
                     dirty = edge_set(
-                        ec for ec in edge_ids(start) if (then[ec] ^ r.get(ec)) & start
+                        ec for ec in edge_ids(start) if (then[ec] ^ r.entries[ec]) & start
                     )
                     got_lanes = comp(es, name, r, g, start=start, lanes=dirty)
                     assert triples_of(g, got_lanes) == want, (gi, name, edge_ids(dirty))
@@ -261,9 +263,9 @@ def test_comp_matches_reference_as_entries_shrink():
             if not held:
                 break
             eid = rnd.choice(held)
-            bits = edge_ids(r.get(eid))
+            bits = edge_ids(r.entries[eid])
             drop = edge_set(rnd.sample(bits, min(len(bits), rnd.randint(1, 3))))
-            assert r.set_entry(eid, r.get(eid) & ~drop)
+            assert r.set_entry(eid, r.entries[eid] & ~drop)
     assert checked > 100 and warm_moved > 20 and lanes_moved > 20 and lanes_partial > 10
 
 
@@ -344,21 +346,21 @@ def test_comp_deletion_scheduling_is_confluent_here():
 
 def test_change_chain_keeps_candidate(chain_c):
     r = init_all(chain_c)
-    result = change(r, chain_c.edge(1), chain_c)
+    result = change(r, 1, chain_c)
     assert triples_of(chain_c, result) == {E3}
-    assert r.get(1) == result
+    assert r.entries[1] == result
 
 
 def test_change_stage1_tidies_only(chain_c):
     r = init_all(chain_c)
-    before = r.get(0)
-    assert change(r, chain_c.edge(0), chain_c) == before  # already tidy
+    before = r.entries[0]
+    assert change(r, 0, chain_c) == before  # already tidy
 
 
 def test_change_empty_entry(chain_cprime):
     r = init_all(chain_cprime)
-    assert r.get(0) == 0
-    assert change(r, chain_cprime.edge(0), chain_cprime) == 0
+    assert r.entries[0] == 0
+    assert change(r, 0, chain_cprime) == 0
 
 
 def test_change_matches_reference_on_random_graphs():
@@ -378,7 +380,7 @@ def test_change_result_within_prior_entry():
         g = random_graph(seed)
         r = init_all(g)
         for eid in range(g.edge_count):
-            prior = r.get(eid)
+            prior = r.entries[eid]
             assert change(r, eid, g) & ~prior == 0
 
 
@@ -390,10 +392,11 @@ def lane_tidy(g, r, tables, es, ec):
     ``OperatorCaches.mid_tidy(bi, es, stage)`` returned."""
     fwd, back = tables
     vidx = {name: i for i, name in enumerate(g.vertex_names())}
+    ends = [(vidx[src], vidx[dst]) for src, dst, _ in map(g.edge_triple, edge_ids(es))]
     return edge_set(
         f
-        for f in edge_ids(es)
-        if (r.holders[f] & fwd[vidx[g.edge(f).src.name]] & back[vidx[g.edge(f).dst.name]]) >> ec & 1
+        for f, (a, b) in zip(edge_ids(es), ends)
+        if (r.holders[f] & fwd[a] & back[b]) >> ec & 1
     )
 
 
@@ -438,7 +441,7 @@ def test_operator_caches_stay_exact_as_entries_shrink():
                 last_tables[bi] = tables
                 for ec in range(g._stage_end[stage - 1]):  # the lanes of stages < stage
                     seen.append(lane_tidy(g, r, tables, ceb, ec))
-                    want = tidy(r.get(ec) & ceb, g.edge(ec).dst.name, names[bi], g)
+                    want = tidy(r.entries[ec] & ceb, g.edge_triple(ec)[1], names[bi], g)
                     assert seen[-1] == want, (seed, step, bi, ec)
             changed += last is not None and seen != last
             last = seen
@@ -446,7 +449,7 @@ def test_operator_caches_stay_exact_as_entries_shrink():
             # read and the rest
             for eid in edge_ids(read if step % 2 else g.full_mask & ~read):
                 keep = rnd.randrange(g.full_mask + 1)
-                r.set_entry(eid, r.get(eid) & (keep | keep >> 1))
+                r.set_entry(eid, r.entries[eid] & (keep | keep >> 1))
         hits += caches.comp_hits
         warm += caches.comp_warm
         settled += caches.comp_settled
@@ -504,8 +507,8 @@ def test_comp_cache_picks_the_changed_members_as_dirty_lanes(monkeypatch):
                     settled += stale
             held = [eid for eid, m in enumerate(r.entries) if m]
             for eid in rnd.sample(held, min(len(held), 3)):
-                drop = 1 << rnd.choice(edge_ids(r.get(eid)))
-                r.set_entry(eid, r.get(eid) & ~drop)
+                drop = 1 << rnd.choice(edge_ids(r.entries[eid]))
+                r.set_entry(eid, r.entries[eid] & ~drop)
     assert dirty_runs > 0 and settled > 0
 
 
@@ -552,7 +555,7 @@ def test_change_matches_reference_as_entries_shrink():
     for lane, lost in [(None, None), (("S", "a2", 1), ("y", "D", 5)), (("S", "a1", 1), ("v", "y", 4))]:
         if lane is not None:
             lid = g.edge_id(*lane)
-            assert r.set_entry(lid, r.get(lid) & ~(1 << g.edge_id(*lost)))
+            assert r.set_entry(lid, r.entries[lid] & ~(1 << g.edge_id(*lost)))
         reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
         want = ref.change_ref(rg, reach, g.edge_triple(e))
         results.append(triples_of(g, change(r, e, g, caches)))
@@ -568,21 +571,21 @@ def test_change_matches_reference_as_entries_shrink():
         rnd = random.Random(5000 + gi)
         r = init_all(g)
         caches = OperatorCaches(g, r)
-        later = [eid for eid in range(g.edge_count) if g.edge(eid).stage > 1]
+        later = [eid for eid in range(g.edge_count) if g.edge_triple(eid)[2] > 1]
         for _ in range(min(3 * len(later), 40)):
             eid = rnd.choice(later)
             reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
             want = ref.change_ref(rg, reach, g.edge_triple(eid))
             got = change(r, eid, g, caches)
             assert triples_of(g, got) == want, (gi, g.edge_triple(eid))
-            assert r.get(eid) == got
+            assert r.entries[eid] == got
             kept += bool(got)
             # now and then drop one bit of some entry
             held = [other for other, m in enumerate(r.entries) if m]
             if held and rnd.random() < 0.4:
                 other = rnd.choice(held)
-                drop = 1 << rnd.choice(edge_ids(r.get(other)))
-                r.set_entry(other, r.get(other) & ~drop)
+                drop = 1 << rnd.choice(edge_ids(r.entries[other]))
+                r.set_entry(other, r.entries[other] & ~drop)
     assert kept > 100
 
 
@@ -624,13 +627,13 @@ def test_change_forgets_found_fixpoints_once_their_entries_shrink():
         (("c2", "u", 3), [("u", "v", 4), ("v", "D", 5)]),
     ]:
         lid = g.edge_id(*lane)
-        assert r.set_entry(lid, r.get(lid) & ~mask_of(g, lost))
+        assert r.set_entry(lid, r.entries[lid] & ~mask_of(g, lost))
     e = g.edge_id("u", "v", 4)
     results = []
     for lost in [None, ("c", "u", 3)]:
         if lost is not None:
             lid = g.edge_id("S", "a", 1)
-            assert r.set_entry(lid, r.get(lid) & ~mask_of(g, [lost]))
+            assert r.set_entry(lid, r.entries[lid] & ~mask_of(g, [lost]))
         reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
         want = ref.change_ref(rg, reach, g.edge_triple(e))
         results.append(triples_of(g, change(r, e, g, caches)))
@@ -689,7 +692,7 @@ def test_found_fixpoints_certify_every_superset():
             held = [eid for eid, m in enumerate(r.entries) if m]
             if held:
                 eid = rnd.choice(held)
-                r.set_entry(eid, r.get(eid) & ~(1 << rnd.choice(edge_ids(r.get(eid)))))
+                r.set_entry(eid, r.entries[eid] & ~(1 << rnd.choice(edge_ids(r.entries[eid]))))
     assert certified > 200
 
 
@@ -721,7 +724,7 @@ def test_comp_needs_no_source_tidy_first():
             held = [eid for eid, m in enumerate(r.entries) if m]
             if held:
                 eid = rnd.choice(held)
-                r.set_entry(eid, r.get(eid) & ~(1 << rnd.choice(edge_ids(r.get(eid)))))
+                r.set_entry(eid, r.entries[eid] & ~(1 << rnd.choice(edge_ids(r.entries[eid]))))
     assert checked > 300 and kept > 50 and untidy > 20, (checked, kept, untidy)
 
 
@@ -744,7 +747,7 @@ def test_lane_passes_match_their_definition():
         while frontier:
             x = frontier.pop()
             for f in edge_ids(allowed):
-                a, b = g.edge(f).src.name, g.edge(f).dst.name
+                a, b = g.edge_triple(f)[0], g.edge_triple(f)[1]
                 if not forward:
                     a, b = b, a
                 if a == x and b not in seen:
@@ -764,19 +767,20 @@ def test_lane_passes_match_their_definition():
             if m and rnd.random() < 0.3:
                 r.set_entry(eid, m & rnd.randrange(g.full_mask + 1))
         names = g.vertex_names()
+        stage = dict(g.document_data()[0])
         for _ in range(5):
             vi = rnd.randrange(len(names))
-            vstage = g.vertex(names[vi]).stage
+            vstage = stage[names[vi]]
             es = g.full_mask if rnd.random() < 0.3 else rnd.randrange(g.full_mask + 1)
             seed = -1 if rnd.random() < 0.5 else rnd.randrange(g.full_mask + 1)
             fwd = _forward_lanes(g, r.holders, es, vi)
             back = _backward_lanes(g, r.holders, es, vi, seed)
             lanes = range(g.edge_count)
-            heads = [reached(g, r.get(ec) & es, g.edge(ec).dst.name, True) for ec in lanes]
-            tails = [reached(g, r.get(ec) & es, names[vi], False) for ec in lanes]
+            heads = [reached(g, r.entries[ec] & es, g.edge_triple(ec)[1], True) for ec in lanes]
+            tails = [reached(g, r.entries[ec] & es, names[vi], False) for ec in lanes]
             for xi, x in enumerate(names):
                 want_fwd = want_back = 0
-                if 1 <= g.vertex(x).stage < vstage:
+                if 1 <= stage[x] < vstage:
                     want_fwd = edge_set(ec for ec in lanes if x in heads[ec])
                     want_back = edge_set(ec for ec in edge_ids(seed & g.full_mask) if x in tails[ec])
                 elif xi == vi:
@@ -795,15 +799,15 @@ def test_reachmap_bits_deleted_stamps_changes(chain_c):
     own edge and that edge's stage alone with the new count, and a no-op
     stamps nothing."""
     r = init_all(chain_c)
-    assert [chain_c.edge(eid).stage for eid in range(3)] == [1, 2, 3]
+    assert [chain_c.edge_triple(eid)[2] for eid in range(3)] == [1, 2, 3]
     assert r.bits_deleted == 0
     assert r.stamps == [0, 0, 0, 0]
     assert r.edge_stamps == [0, 0, 0]
-    assert not r.set_entry(0, r.get(0))
+    assert not r.set_entry(0, r.entries[0])
     assert r.bits_deleted == 0
     assert r.stamps == [0, 0, 0, 0]
     assert r.edge_stamps == [0, 0, 0]
-    removed = r.get(0).bit_count()
+    removed = r.entries[0].bit_count()
     assert r.set_entry(0, 0)
     assert r.bits_deleted == removed == 2
     assert r.stamps == [0, 2, 0, 0]
