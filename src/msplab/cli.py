@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .formats import (
     InstanceParseError,
+    _int_field,
     parse_instance,
     parse_ugraph,
     serialize_instance,
@@ -163,7 +164,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_gen_msp(args) -> int:
     try:
-        widths = tuple(int(w) for w in args.widths.split(","))
+        widths = tuple(_int_field(w.strip(), "width", None) for w in args.widths.split(","))
         shape = GenShape(
             stages=len(widths) - 1,
             widths=widths,
@@ -188,11 +189,13 @@ def _cmd_gen_graph(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    out_dir = args.out or os.environ.get(ARCHIVE_ENV)
+    if args.resume and out_dir is None:
+        raise _CliFailure(EXIT_USAGE, f"--resume needs --out or ${ARCHIVE_ENV} to resume from")
     try:
         config = CampaignConfig.from_text(_read_text(args.config))
     except ValueError as exc:
         raise _CliFailure(EXIT_FORMAT, f"bad campaign config: {exc}") from exc
-    out_dir = args.out or os.environ.get(ARCHIVE_ENV)
     try:
         report = run_differential(config, out_dir=out_dir, resume=args.resume)
     except OSError as exc:

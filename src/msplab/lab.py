@@ -20,7 +20,8 @@ import os
 import re
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import reduce
+from functools import partial, reduce
+from itertools import combinations, islice
 from multiprocessing import Pool
 from operator import mul, or_
 from pathlib import Path
@@ -39,6 +40,9 @@ BUG_NECESSITY = "BUG_NECESSITY"
 CANDIDATE_COUNTEREXAMPLE = "CANDIDATE_COUNTEREXAMPLE"
 UNKNOWN = "UNKNOWN"
 VERDICT_KINDS = (AGREE_YES, AGREE_NO, BUG_NECESSITY, CANDIDATE_COUNTEREXAMPLE, UNKNOWN)
+# A campaign with an output directory checkpoints after every this many
+# instances, and after the last.
+PROGRESS_EVERY = 500
 
 _MASK64 = (1 << 64) - 1
 _STREAM_EDGES = 1
@@ -155,33 +159,22 @@ def gen_ugraph(n: int, q: float, seed: int) -> UndirectedGraph:
 # -- verdicts ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str
-    zh: str
-    oracle: str
-
-
-def classify(zh_result, oracle_result) -> Verdict:
-    """Classify a solver/oracle pair for one instance.
+def classify(zh_answer: str, oracle_answer: str) -> str:
+    """The verdict kind of a solver/oracle answer pair for one instance.
 
     A necessity violation is fatal for the implementation (the YES direction
     is proven); a candidate counterexample is archived and minimized, never
     raised.
     """
-    zh_answer = zh_result.answer
-    oracle_answer = oracle_result.answer
     if oracle_answer == TIMEOUT:
-        kind = UNKNOWN
-    elif zh_answer == YES and oracle_answer == YES:
-        kind = AGREE_YES
-    elif zh_answer == NO and oracle_answer == NO:
-        kind = AGREE_NO
-    elif zh_answer == NO and oracle_answer == YES:
-        kind = BUG_NECESSITY
-    else:
-        kind = CANDIDATE_COUNTEREXAMPLE
-    return Verdict(kind=kind, zh=zh_answer, oracle=oracle_answer)
+        return UNKNOWN
+    if zh_answer == YES and oracle_answer == YES:
+        return AGREE_YES
+    if zh_answer == NO and oracle_answer == NO:
+        return AGREE_NO
+    if zh_answer == NO and oracle_answer == YES:
+        return BUG_NECESSITY
+    return CANDIDATE_COUNTEREXAMPLE
 
 
 # -- graph complexity order ---------------------------------------------------
@@ -219,60 +212,45 @@ def _graph_sort_key(g: MultistageGraph):
     )
 
 
-def _apply_move(g: MultistageGraph, move) -> MultistageGraph:
+def _candidates(g: MultistageGraph):
+    """Every graph one of ``minimize``'s moves away from ``g``, the moves
+    taken in the order ``minimize`` lists them."""
     vertices, edges, esets = g.document_data()
-    kind = move[0]
-    if kind == "drop_edge":
-        t = move[1]
-        edges = [e for e in edges if e != t]
-        esets = {v: [e for e in ts if e != t] for v, ts in esets.items()}
-    elif kind == "drop_vertex":
-        name = move[1]
-        vertices = [(n, s) for n, s in vertices if n != name]
-        gone = {e for e in edges if name in (e[0], e[1])}
-        edges = [e for e in edges if e not in gone]
-        esets = {v: [e for e in ts if e not in gone] for v, ts in esets.items() if v != name}
-    elif kind == "drop_member":
-        vname, t = move[1], move[2]
-        esets = dict(esets)
-        esets[vname] = [e for e in esets[vname] if e != t]
-    elif kind == "merge":
-        keep, drop = move[1], move[2]
 
-        def rename(e):
-            src = keep if e[0] == drop else e[0]
-            dst = keep if e[1] == drop else e[1]
-            return (src, dst, e[2])
+    def variant(vertices, edges, esets):
+        return MultistageGraph(g.stage_count, vertices, edges, esets)
 
-        vertices = [(n, s) for n, s in vertices if n != drop]
-        edges = sorted({rename(e) for e in edges})
-        esets = {
-            v: sorted({rename(e) for e in ts})
-            for v, ts in esets.items()
-            if v != drop
-        }
-    else:
-        raise ValueError(f"unknown move {kind!r}")
-    return MultistageGraph(g.stage_count, vertices, edges, esets)
-
-
-def _enumerate_moves(g: MultistageGraph):
-    source, sink = g.source_name(), g.sink_name()
-    for eid in range(g.edge_count):
-        yield ("drop_edge", g.edge_triple(eid))
-    for name in g.vertex_names():
-        if name not in (source, sink):
-            yield ("drop_vertex", name)
-    for name in g.vertex_names():
-        if g.has_eset(name):
-            for eid in edge_ids(g.eset(name)):
-                yield ("drop_member", name, g.edge_triple(eid))
+    for t in edges:
+        yield variant(
+            vertices,
+            [e for e in edges if e != t],
+            {v: [e for e in ts if e != t] for v, ts in esets.items()},
+        )
+    for name, _ in vertices:
+        if name not in (g.source_name(), g.sink_name()):
+            gone = {e for e in edges if name in (e[0], e[1])}
+            yield variant(
+                [(n, s) for n, s in vertices if n != name],
+                [e for e in edges if e not in gone],
+                {v: [e for e in ts if e not in gone] for v, ts in esets.items() if v != name},
+            )
+    for name, members in esets.items():
+        for t in members:
+            yield variant(vertices, edges, {**esets, name: [e for e in members if e != t]})
     for stage in range(1, g.stage_count):
-        row = g.stage_vertex_names(stage)
-        for i, keep in enumerate(row):
-            for drop in row[i + 1 :]:
-                if g.has_eset(keep) and g.has_eset(drop) and g.eset(keep) == g.eset(drop):
-                    yield ("merge", keep, drop)
+        row = [name for name in g.stage_vertex_names(stage) if g.has_eset(name)]
+        for keep, drop in combinations(row, 2):
+            if g.eset(keep) != g.eset(drop):
+                continue
+
+            def rename(e):
+                return (keep if e[0] == drop else e[0], keep if e[1] == drop else e[1], e[2])
+
+            yield variant(
+                [(n, s) for n, s in vertices if n != drop],
+                sorted({rename(e) for e in edges}),
+                {v: sorted({rename(e) for e in ts}) for v, ts in esets.items() if v != drop},
+            )
 
 
 def minimize(g: MultistageGraph, predicate, budget: int = 500) -> MultistageGraph:
@@ -291,10 +269,7 @@ def minimize(g: MultistageGraph, predicate, budget: int = 500) -> MultistageGrap
     evals = 1
     while evals < budget:
         accepted = []
-        for move in _enumerate_moves(g):
-            if evals >= budget:
-                break
-            candidate = _apply_move(g, move)
+        for candidate in islice(_candidates(g), budget - evals):
             evals += 1
             if predicate(candidate):
                 accepted.append(candidate)
@@ -439,32 +414,32 @@ class CampaignReport:
         }
 
 
-def run_instance(config: CampaignConfig, seed: int) -> dict:
-    """Generate, solve both ways and classify one seed (worker unit)."""
-    shape = shape_for_seed(config, seed)
-    g = gen_msp(shape)
+def run_instance(config: CampaignConfig, seed: int) -> tuple[str, dict[str, str] | None]:
+    """Generate, solve both ways and classify one seed (worker unit).
+
+    Returns the verdict kind and, unless both sides agree, the finding's
+    archive files: the instance and both outputs, serialized."""
+    g = gen_msp(shape_for_seed(config, seed))
     zh_result = zh_solve(g)
     oracle_result = oracle_simple_path(g, SearchBudget(max_nodes=config.oracle_max_nodes))
-    verdict = classify(zh_result, oracle_result)
-    record = {
-        "seed": seed,
-        "kind": verdict.kind,
-        "zh": verdict.zh,
-        "oracle": verdict.oracle,
+    kind = classify(zh_result.answer, oracle_result.answer)
+    if kind in (AGREE_YES, AGREE_NO):
+        return kind, None
+    zh_detail = {
+        "answer": zh_result.answer,
+        "final_comp_ed": edge_ids(zh_result.final_comp_ed),
+        "outer_sweeps": zh_result.metrics.outer_sweeps,
     }
-    if verdict.kind not in (AGREE_YES, AGREE_NO):
-        record["instance"] = serialize_instance(g)
-        record["zh_detail"] = {
-            "answer": zh_result.answer,
-            "final_comp_ed": edge_ids(zh_result.final_comp_ed),
-            "outer_sweeps": zh_result.metrics.outer_sweeps,
-        }
-        record["oracle_detail"] = {
-            "answer": oracle_result.answer,
-            "witness": list(oracle_result.witness) if oracle_result.witness else None,
-            "nodes_expanded": oracle_result.nodes_expanded,
-        }
-    return record
+    oracle_detail = {
+        "answer": oracle_result.answer,
+        "witness": list(oracle_result.witness) if oracle_result.witness else None,
+        "nodes_expanded": oracle_result.nodes_expanded,
+    }
+    return kind, {
+        "instance.msp": serialize_instance(g),
+        "zh.json": json.dumps(zh_detail, sort_keys=True) + "\n",
+        "oracle.json": json.dumps(oracle_detail, sort_keys=True) + "\n",
+    }
 
 
 def counterexample_predicate(oracle_max_nodes: int):
@@ -481,32 +456,22 @@ def counterexample_predicate(oracle_max_nodes: int):
     return predicate
 
 
-class _Archive:
-    """Single-consumer archive writer; one directory per finding."""
-
-    def __init__(self, root: Path):
-        self.root = root
-        self.io_errors = 0
-
-    def write(self, finding_id: str, files: dict[str, str]) -> None:
-        directory = self.root / finding_id
-        for attempt in (1, 2):  # transient failures retried once
-            try:
-                directory.mkdir(parents=True, exist_ok=True)
-                for name, content in files.items():
-                    (directory / name).write_text(content, encoding="utf-8")
-                return
-            except OSError:
-                if attempt == 2:
-                    self.io_errors += 1
-
-
-def _progress_path(out_dir: Path) -> Path:
-    return out_dir / "progress.json"
+def _archive(directory: Path, files: dict[str, str]) -> bool:
+    """Write ``files`` into ``directory``, retrying once after a failure;
+    whether the files were written."""
+    for _ in range(2):
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            for name, content in files.items():
+                (directory / name).write_text(content, encoding="utf-8")
+            return True
+        except OSError:
+            pass
+    return False
 
 
 def _write_progress(out_dir: Path, state: dict) -> None:
-    path = _progress_path(out_dir)
+    path = out_dir / "progress.json"
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(state, sort_keys=True), encoding="utf-8")
     os.replace(tmp, path)
@@ -535,6 +500,7 @@ def _read_progress(path: Path, config_echo: dict, instances: int) -> tuple[int, 
         and sum(totals.values()) == done
         and isinstance(findings, list)
         and all(isinstance(f, str) for f in findings)
+        and len(findings) == done - totals[AGREE_YES] - totals[AGREE_NO]
     ):
         raise ValueError(f"unreadable progress file {path}: not a checkpoint of this campaign")
     return done, {kind: totals[kind] for kind in VERDICT_KINDS}, findings
@@ -544,18 +510,18 @@ def run_differential(
     config: CampaignConfig,
     out_dir: str | Path | None = None,
     resume: bool = False,
-    progress_every: int = 500,
 ) -> CampaignReport:
     """Run a differential campaign over ``config.instances`` seeds.
 
     With ``out_dir`` set, every non-agreeing verdict is archived (instance,
     both solver outputs, metadata; candidate counterexamples also get a
-    minimized variant), progress is checkpointed so an interrupted campaign
-    resumes from the last completed chunk (a checkpoint of another config,
-    or one not of the shape this function writes, raises ``ValueError``),
-    and the final report is written as both a table and line-delimited
-    records.  Parallel and serial runs produce identical reports because
-    instances are independent and merged in seed order.
+    minimized variant), progress is checkpointed every ``PROGRESS_EVERY``
+    instances so an interrupted campaign resumes from the last checkpoint
+    (a checkpoint of another config, or one not of the shape this function
+    writes, raises ``ValueError``), and the final report is written as both
+    a table and line-delimited records.  Parallel and serial runs produce
+    identical reports because instances are independent and merged in seed
+    order.
     """
     started = time.perf_counter()
     out_path = Path(out_dir) if out_dir is not None else None
@@ -564,52 +530,33 @@ def run_differential(
     }
     totals = {kind: 0 for kind in VERDICT_KINDS}
     findings: list[str] = []
-    done = 0
+    done = io_errors = 0
 
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        progress = _progress_path(out_path)
+        progress = out_path / "progress.json"
         if resume and progress.exists():
             done, totals, findings = _read_progress(progress, config_echo, config.instances)
-        archive = _Archive(out_path / "archive")
-    else:
-        archive = None
 
     seeds = range(config.seed + done, config.seed + config.instances)
     predicate = counterexample_predicate(config.oracle_max_nodes)
 
-    def handle(record: dict) -> None:
-        nonlocal done
-        totals[record["kind"]] += 1
+    def handle(seed: int, kind: str, files: dict[str, str] | None) -> None:
+        nonlocal done, io_errors
+        totals[kind] += 1
         done += 1
-        if record["kind"] not in (AGREE_YES, AGREE_NO):
-            finding_id = f"{record['kind'].lower()}-{record['seed']}"
+        if files is not None:
+            finding_id = f"{kind.lower()}-{seed}"
             findings.append(finding_id)
-            if archive is not None:
-                files = {
-                    "instance.msp": record["instance"],
-                    "zh.json": json.dumps(record["zh_detail"], sort_keys=True) + "\n",
-                    "oracle.json": json.dumps(record["oracle_detail"], sort_keys=True) + "\n",
-                    "meta.json": json.dumps(
-                        {
-                            "id": finding_id,
-                            "seed": record["seed"],
-                            "kind": record["kind"],
-                            "config": config_echo,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n",
-                }
-                if record["kind"] == CANDIDATE_COUNTEREXAMPLE:
-                    small = minimize(
-                        parse_instance(record["instance"]),
-                        predicate,
-                        budget=config.minimize_budget,
-                    )
+            if out_path is not None:
+                meta = {"id": finding_id, "seed": seed, "kind": kind, "config": config_echo}
+                files["meta.json"] = json.dumps(meta, sort_keys=True) + "\n"
+                if kind == CANDIDATE_COUNTEREXAMPLE:
+                    g = parse_instance(files["instance.msp"])
+                    small = minimize(g, predicate, budget=config.minimize_budget)
                     files["minimized.msp"] = serialize_instance(small)
-                archive.write(finding_id, files)
-        if out_path is not None and (done % progress_every == 0 or done == config.instances):
+                io_errors += not _archive(out_path / "archive" / finding_id, files)
+        if out_path is not None and (done % PROGRESS_EVERY == 0 or done == config.instances):
             _write_progress(
                 out_path,
                 {
@@ -620,15 +567,14 @@ def run_differential(
                 },
             )
 
+    work = partial(run_instance, config)
     if config.workers > 1 and len(seeds) > 0:
         with Pool(config.workers) as pool:
-            for record in pool.imap(
-                _worker, ((config, seed) for seed in seeds), chunksize=64
-            ):
-                handle(record)
+            for seed, result in zip(seeds, pool.imap(work, seeds, chunksize=64)):
+                handle(seed, *result)
     else:
         for seed in seeds:
-            handle(run_instance(config, seed))
+            handle(seed, *work(seed))
 
     report = CampaignReport(
         totals=totals,
@@ -637,7 +583,7 @@ def run_differential(
         seed_last=config.seed + config.instances - 1,
         config=config_echo,
         findings=findings,
-        io_errors=archive.io_errors if archive is not None else 0,
+        io_errors=io_errors,
         wall_time=time.perf_counter() - started,
     )
     if out_path is not None:
@@ -649,8 +595,3 @@ def run_differential(
                 json.dumps({"record": "summary", **report.comparable()}, sort_keys=True) + "\n"
             )
     return report
-
-
-def _worker(args) -> dict:
-    config, seed = args
-    return run_instance(config, seed)

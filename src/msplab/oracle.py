@@ -46,7 +46,6 @@ class OracleResult:
     answer: str  # YES | NO | TIMEOUT
     witness: tuple | None
     nodes_expanded: int
-    budget_used: float  # seconds
 
 
 def verify_simple_path(g: MultistageGraph, path: Sequence[str]) -> bool:
@@ -86,8 +85,7 @@ def oracle_simple_path(
     if not report.ok:
         raise InvalidGraphError(report)
     budget = budget or SearchBudget()
-    started = time.perf_counter()
-    deadline = None if budget.max_seconds is None else started + budget.max_seconds
+    deadline = None if budget.max_seconds is None else time.perf_counter() + budget.max_seconds
 
     out_mask = g._out_mask
     eto = g._eto
@@ -106,10 +104,10 @@ def oracle_simple_path(
             if expanded > budget.max_nodes or (
                 deadline is not None and expanded % 1024 == 0 and time.perf_counter() > deadline
             ):
-                return OracleResult(TIMEOUT, None, expanded, time.perf_counter() - started)
+                return OracleResult(TIMEOUT, None, expanded)
             if len(path) - 1 == last:
                 witness = tuple(vnames[i] for i in path)
-                return OracleResult(YES, witness, expanded, time.perf_counter() - started)
+                return OracleResult(YES, witness, expanded)
             untried.append(out_mask[path[-1]])
         m = untried[-1]
         prefix = prefixes[-1]
@@ -126,7 +124,7 @@ def oracle_simple_path(
             untried.pop()
             path.pop()
             prefixes.pop()
-    return OracleResult(NO, None, expanded, time.perf_counter() - started)
+    return OracleResult(NO, None, expanded)
 
 
 def verify_hamilton_circuit(ug: UndirectedGraph, circuit) -> bool:
@@ -142,11 +140,10 @@ def verify_hamilton_circuit(ug: UndirectedGraph, circuit) -> bool:
 def oracle_hamilton(ug: UndirectedGraph, budget: SearchBudget | None = None) -> OracleResult:
     """Backtracking Hamilton-circuit search anchored at the lowest vertex."""
     budget = budget or SearchBudget()
-    started = time.perf_counter()
-    deadline = None if budget.max_seconds is None else started + budget.max_seconds
+    deadline = None if budget.max_seconds is None else time.perf_counter() + budget.max_seconds
     expanded = 0
     if ug.n < 3:
-        return OracleResult(NO, None, 0, time.perf_counter() - started)
+        return OracleResult(NO, None, 0)
 
     adjacency = ug.adjacency()
     anchor = ug.vertices()[0]
@@ -161,12 +158,12 @@ def oracle_hamilton(ug: UndirectedGraph, budget: SearchBudget | None = None) -> 
             if expanded > budget.max_nodes or (
                 deadline is not None and expanded % 1024 == 0 and time.perf_counter() > deadline
             ):
-                return OracleResult(TIMEOUT, None, expanded, time.perf_counter() - started)
+                return OracleResult(TIMEOUT, None, expanded)
             v = path[-1]
             if len(path) == ug.n:
                 if anchor in adjacency[v]:
                     witness = (*path, anchor)
-                    return OracleResult(YES, witness, expanded, time.perf_counter() - started)
+                    return OracleResult(YES, witness, expanded)
                 untried.append(iter(()))
             else:
                 untried.append(iter(adjacency[v]))
@@ -178,4 +175,4 @@ def oracle_hamilton(ug: UndirectedGraph, budget: SearchBudget | None = None) -> 
         else:
             untried.pop()
             used.discard(path.pop())
-    return OracleResult(NO, None, expanded, time.perf_counter() - started)
+    return OracleResult(NO, None, expanded)

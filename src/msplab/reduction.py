@@ -12,7 +12,7 @@ through the stage copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .model import AbnormalTerminationError, EdgeTriple, MultistageGraph
@@ -63,13 +63,9 @@ class ReductionMap:
     """Bookkeeping for mapping witnesses back from the staged graph."""
 
     pivot: int
-    forward: dict[tuple[int, int], str]  # (source vertex, stage) -> staged name
+    vertex_of: dict[str, int]  # staged name -> input vertex
     stats: dict[str, int]
     graph: MultistageGraph
-    _backward: dict[str, int] = field(default_factory=dict)
-
-    def source_vertex_of(self, staged_name: str) -> int:
-        return self._backward[staged_name]
 
 
 def _staged_name(u: int, stage: int) -> str:
@@ -98,12 +94,12 @@ def reduce_hc_to_msp(
     source = _staged_name(pivot, 0)
     sink = _staged_name(pivot, stages)
     vertices: list[tuple[str, int]] = [(source, 0), (sink, stages)]
-    forward: dict[tuple[int, int], str] = {(pivot, 0): source, (pivot, stages): sink}
+    vertex_of = {source: pivot, sink: pivot}
     for u in others:
         for stage in range(1, stages):
             name = _staged_name(u, stage)
             vertices.append((name, stage))
-            forward[(u, stage)] = name
+            vertex_of[name] = u
 
     edges: list[EdgeTriple] = []
     for a, b in sorted(ug.edges):
@@ -142,9 +138,7 @@ def reduce_hc_to_msp(
         "vertices": graph.vertex_count(),
         "edges": graph.edge_count,
     }
-    rmap = ReductionMap(pivot=pivot, forward=forward, stats=stats, graph=graph)
-    rmap._backward = {name: u for (u, _), name in forward.items()}
-    return graph, rmap
+    return graph, ReductionMap(pivot=pivot, vertex_of=vertex_of, stats=stats, graph=graph)
 
 
 def lift_path(rmap: ReductionMap, path: Sequence[str]) -> tuple[int, ...]:
@@ -162,8 +156,4 @@ def lift_path(rmap: ReductionMap, path: Sequence[str]) -> tuple[int, ...]:
         raise LiftError(f"not a source-to-sink staged path: {exc}") from exc
     if not ok:
         raise LiftError("path is not a simple path of the reduced graph")
-    circuit = [rmap.pivot]
-    for name in path[1:-1]:
-        circuit.append(rmap.source_vertex_of(name))
-    circuit.append(rmap.pivot)
-    return tuple(circuit)
+    return (rmap.pivot, *(rmap.vertex_of[name] for name in path[1:-1]), rmap.pivot)

@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 from msplab import lab
-from msplab.cli import EXIT_FILE, EXIT_FORMAT, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, main
+from msplab.cli import (
+    EXIT_FILE,
+    EXIT_FORMAT,
+    EXIT_INTERNAL,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
 from msplab.formats import parse_instance, parse_ugraph
 from msplab.model import AbnormalTerminationError
 
@@ -242,6 +250,11 @@ def _with_totals(state, **changes):
         lambda state: {**state, "totals": [5]},
         lambda state: {**state, "findings": "none"},
         lambda state: {**state, "findings": [1]},
+        lambda state: {
+            **state,
+            "totals": {**dict.fromkeys(state["totals"], 0), "UNKNOWN": 5},
+            "findings": [],
+        },
     ],
     ids=[
         "empty-dict",
@@ -256,6 +269,7 @@ def _with_totals(state, **changes):
         "totals-not-dict",
         "findings-not-list",
         "finding-not-str",
+        "findings-miss-totals",
     ],
 )
 def test_fuzz_resume_from_a_misshapen_checkpoint_exits_format_error(capsys, tmp_path, damage):
@@ -271,6 +285,19 @@ def test_fuzz_resume_from_a_misshapen_checkpoint_exits_format_error(capsys, tmp_
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "unreadable progress file" in err
+
+
+def test_fuzz_resume_without_an_output_directory_exits_usage_error(capsys, tmp_path, monkeypatch):
+    """With neither ``--out`` nor ``MSPLAB_ARCHIVE`` there is no checkpoint
+    to resume from, so ``--resume`` is refused before any seed runs."""
+    monkeypatch.delenv("MSPLAB_ARCHIVE", raising=False)
+    monkeypatch.setattr(lab, "gen_msp", None)  # a seed that runs would raise
+    config = tmp_path / "campaign.cfg"
+    config.write_text("instances = 5\n")
+    status, out, err = run_cli(capsys, "fuzz", "--config", str(config), "--resume")
+    assert status == EXIT_USAGE
+    assert out == ""
+    assert err.strip() == "msplab: --resume needs --out or $MSPLAB_ARCHIVE to resume from"
 
 
 def test_fuzz_out_naming_a_file_exits_file_error(capsys, tmp_path):
@@ -334,9 +361,12 @@ def test_minimize_abnormal_termination_exits_internal(capsys, monkeypatch):
     assert "no fixpoint" in err
 
 
-@pytest.mark.parametrize("widths", ["1,x,1", "1,0,1", "1"])
+@pytest.mark.parametrize(
+    "widths", ["1,x,1", "1,0,1", "1", "1,\u0663,1", "1, +2 ,1", "1,1_0,1"]
+)
 def test_gen_msp_bad_shape_exits_format_error(capsys, tmp_path, widths):
-    """A width that is not an integer, a zero-width stage or a one-item
+    """A width that is not an integer in ASCII digits with an optional
+    minus (the instance files' rule), a zero-width stage or a one-item
     width list (no stage at all) is a format error with no output."""
     target = tmp_path / "out.msp"
     status, out, err = run_cli(capsys, "gen-msp", "--widths", widths, "-o", str(target))

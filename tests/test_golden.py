@@ -20,6 +20,15 @@ so edge ids do not follow vertex indices), and of every pairing of edge and
 edge-set densities 0, 0.5 and 1.  It needs no networkx.  A change that
 alters the generator's draws on purpose updates ``GEN_DIGEST`` and says so
 in CHANGES.md.
+
+``CAMPAIGN_DIGEST`` pins what campaigns write: one sha256 over the relative
+path and bytes of every file under three campaigns' output directories,
+except ``report.txt``, which holds the wall time.  The campaigns are 40
+seeds with a one-node oracle budget (UNKNOWN findings), the same run on two
+workers, and 12 seeds with empty edge sets and a solver stubbed to YES, so
+that every finding is a candidate counterexample and is minimized.  A change
+that alters the archive, ``report.jsonl`` or ``progress.json`` on purpose
+updates ``CAMPAIGN_DIGEST`` and says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -30,13 +39,22 @@ import json
 
 import pytest
 
+from msplab import lab
 from msplab.formats import serialize_instance
-from msplab.lab import CampaignConfig, GenShape, gen_msp, gen_ugraph, shape_for_seed
+from msplab.lab import (
+    CampaignConfig,
+    GenShape,
+    gen_msp,
+    gen_ugraph,
+    run_differential,
+    shape_for_seed,
+)
 from msplab.reduction import UndirectedGraph, reduce_hc_to_msp
-from msplab.zh import zh_solve
+from msplab.zh import ZhMetrics, ZhResult, zh_solve
 
 DIGEST = "637e334a870883a2a7d943f0daf979ebf6c1f7daca4fe047a3a4c06b5e1d16af"
 GEN_DIGEST = "512cc01d166180f49e1a3d8906681de3c48ab871caf80249ba81a61bc02d347f"
+CAMPAIGN_DIGEST = "52264423b199f33d2b338f2f073d7b016f0173e9f8450c750550769f2e8e15a5"
 
 
 def corpus():
@@ -91,3 +109,31 @@ def test_generator_output_matches_golden_digest():
     for shape in gen_corpus():
         h.update(serialize_instance(gen_msp(shape)).encode())
     assert h.hexdigest() == GEN_DIGEST
+
+
+def campaign_config(**kw) -> CampaignConfig:
+    base = dict(stages_min=3, stages_max=5, width_max=3, edge_density=0.7)
+    return CampaignConfig(**{**base, **kw})
+
+
+def test_campaign_outputs_match_golden_digest(tmp_path, monkeypatch):
+    runs = {
+        "unknown-serial": campaign_config(instances=40, oracle_max_nodes=1),
+        "unknown-parallel": campaign_config(instances=40, oracle_max_nodes=1, workers=2),
+    }
+    for name, config in runs.items():
+        run_differential(config, out_dir=tmp_path / name)
+    monkeypatch.setattr(
+        lab,
+        "zh_solve",
+        lambda g, opts=None: ZhResult("YES", g.full_mask, ZhMetrics(outer_sweeps=1)),
+    )
+    config = campaign_config(instances=12, eset_densities=(0.0,), minimize_budget=60)
+    run_differential(config, out_dir=tmp_path / "minimized")
+
+    h = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        if path.name != "report.txt":
+            h.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
+            h.update(path.read_bytes() + b"\0")
+    assert h.hexdigest() == CAMPAIGN_DIGEST

@@ -225,11 +225,6 @@ def test_gen_ugraph_extremes_and_determinism():
 # -- classification ----------------------------------------------------------
 
 
-class _Stub:
-    def __init__(self, answer):
-        self.answer = answer
-
-
 @pytest.mark.parametrize(
     "zh,orc,kind",
     [
@@ -242,9 +237,7 @@ class _Stub:
     ],
 )
 def test_classify_table(zh, orc, kind):
-    verdict = classify(_Stub(zh), _Stub(orc))
-    assert verdict.kind == kind
-    assert (verdict.zh, verdict.oracle) == (zh, orc)
+    assert classify(zh, orc) == kind
 
 
 # -- complexity vector ---------------------------------------------------------
@@ -295,8 +288,8 @@ def test_minimizer_on_synthetic_predicate():
     assert validate(small).ok
     assert small.span_mask(2, 2).bit_count() == 2
     # locally minimal: every single move now breaks the predicate or validity
-    for move in lab._enumerate_moves(small):
-        assert not _two_stage2_edges(lab._apply_move(small, move))
+    for candidate in lab._candidates(small):
+        assert not _two_stage2_edges(candidate)
 
 
 def test_minimizer_fixpoint_returns_input():
@@ -334,7 +327,9 @@ def test_merge_move_unifies_equal_eset_siblings():
     edges = [("S", "x", 1), ("S", "y", 1), ("x", "D", 2), ("y", "D", 2)]
     esets = {"x": [], "y": [], "D": edges}
     g = mk_graph(2, vertices, edges, esets)
-    merged = lab._apply_move(g, ("merge", "x", "y"))
+    candidates = list(lab._candidates(g))
+    assert len(candidates) == 4 + 2 + 4 + 1  # edges, inner vertices, D's members, a merge
+    merged = candidates[-1]  # merges come last
     assert validate(merged).ok
     assert merged.vertex_count() == 3
     assert merged.edge_count == 2  # redirected duplicates collapse
@@ -418,7 +413,7 @@ def test_campaign_archives_unknowns_and_rerun_matches(tmp_path):
             g, SearchBudget(max_nodes=meta["config"]["oracle_max_nodes"])
         )
         assert again_zh.answer == zh_detail["answer"]
-        assert classify(again_zh, again_orc).kind == meta["kind"]
+        assert classify(again_zh.answer, again_orc.answer) == meta["kind"]
     assert (tmp_path / "report.txt").exists()
     summary = [
         json.loads(line)
@@ -428,9 +423,17 @@ def test_campaign_archives_unknowns_and_rerun_matches(tmp_path):
     assert summary[-1]["totals"][UNKNOWN] == report.totals[UNKNOWN]
 
 
+def test_campaign_counts_unwritable_findings_as_io_errors(tmp_path):
+    (tmp_path / "archive").write_text("not a directory\n")
+    report = run_differential(tiny_config(instances=12, oracle_max_nodes=1), out_dir=tmp_path)
+    assert report.findings
+    assert report.io_errors == len(report.findings)
+    assert f"io errors      {report.io_errors}" in report.to_table()
+
+
 def test_campaign_resume_from_checkpoint(tmp_path):
     cfg = tiny_config(instances=30)
-    full = run_differential(cfg, out_dir=tmp_path / "full", progress_every=10)
+    full = run_differential(cfg, out_dir=tmp_path / "full")
 
     # reconstruct the checkpoint a crash after 20 instances would leave behind
     partial_dir = tmp_path / "partial"
@@ -438,10 +441,10 @@ def test_campaign_resume_from_checkpoint(tmp_path):
     totals = {kind: 0 for kind in lab.VERDICT_KINDS}
     findings = []
     for seed in range(20):
-        record = run_instance(cfg, seed)
-        totals[record["kind"]] += 1
-        if record["kind"] not in (AGREE_YES, AGREE_NO):
-            findings.append(f"{record['kind'].lower()}-{seed}")
+        kind, files = run_instance(cfg, seed)
+        totals[kind] += 1
+        if files is not None:
+            findings.append(f"{kind.lower()}-{seed}")
     lab._write_progress(
         partial_dir,
         {
@@ -460,7 +463,7 @@ def test_campaign_resume_from_checkpoint(tmp_path):
 
 def test_campaign_resume_rejects_config_drift(tmp_path):
     cfg = tiny_config(instances=10)
-    run_differential(cfg, out_dir=tmp_path, progress_every=5)
+    run_differential(cfg, out_dir=tmp_path)
     other = tiny_config(instances=11)
     with pytest.raises(ValueError, match="different configuration"):
         run_differential(other, out_dir=tmp_path, resume=True)
