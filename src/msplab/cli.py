@@ -189,7 +189,7 @@ def _cmd_gen_graph(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    out_dir = args.out or os.environ.get(ARCHIVE_ENV)
+    out_dir = args.out or os.environ.get(ARCHIVE_ENV) or None  # an empty value is unset
     if args.resume and out_dir is None:
         raise _CliFailure(EXIT_USAGE, f"--resume needs --out or ${ARCHIVE_ENV} to resume from")
     try:

@@ -16,12 +16,13 @@
   greatest fixpoint of a monotone, deflationary step, so once the
   reachable sets shrink, the new result lies inside the old one (Tarski,
   Pacific J. Math. 5(2), 1955): ``start=`` resumes from an earlier
-  result.  A member's test reads only its own reachable set and the working
-  set, so after a shrink only the members whose reachable sets changed can
-  fail; ``lanes=`` names them (``ReachMap.edge_stamps`` tells which), and
-  the first sweep tests those alone (semi-naive evaluation, Bancilhon &
-  Ramakrishnan, SIGMOD 1986).  A sweep that deletes nothing from a set
-  already tidy skips the tidy step.
+  result.  A member's test reads only its own reachable set inside the
+  working set, so after a shrink only the members whose reachable sets
+  lost a bit inside the old result can fail; ``lanes=`` names them
+  (``ReachMap.lost_within`` tells which), and the first sweep tests those
+  alone (semi-naive evaluation, Bancilhon & Ramakrishnan, SIGMOD 1986).  A
+  sweep that deletes nothing from a set already tidy skips the tidy step,
+  and an empty working set is returned at once.
 * ``change`` contracts one reachable set against all the others until stable.
   Its anchors come from lane tables: for a target vertex b and edge set es,
   one forward and one backward pass over ``holders`` with every edge ec as
@@ -50,11 +51,16 @@ Deletions inside each fixpoint sweep are collected and applied at sweep end
 (ascending edge-id order), so results do not depend on iteration order.
 ``change`` writes its result back into the reachable map; the other
 operators are pure functions of their inputs.  ``OperatorCaches`` holds a
-solver run's per-vertex edge sets and the caches above, each judged stale
-by ``ReachMap.changed_since``.
+solver run's per-vertex edge sets and the caches above.  Each cache record
+reads the entries only inside a set it holds, so it is judged stale by the
+bits those entries lost inside that set (``ReachMap.lost_within``), the
+semi-naive rule applied to the record itself: a shrink that misses the set
+leaves the record exact.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .model import AbnormalTerminationError, EdgeSet, MultistageGraph
 
@@ -185,6 +191,9 @@ class ReachMap:
     is ``bits_deleted`` after the last change to entry e, and ``stamps[k]``
     the same for the entries of stage k (``estage[e]`` is edge e's stage,
     ``stage_edges[k]`` the edges of stage k), which ``changed_since`` reads.
+    ``log`` lists every change as ``(1 << e, the bits removed from entry
+    e)`` and ``log_stamps`` the ``bits_deleted`` after each, ascending;
+    ``lost_within`` reads them.
     """
 
     __slots__ = (
@@ -194,6 +203,8 @@ class ReachMap:
         "estage",
         "stamps",
         "edge_stamps",
+        "log",
+        "log_stamps",
         "stage_edges",
     )
 
@@ -204,6 +215,8 @@ class ReachMap:
         self.estage = estage
         self.stamps = [0] * (max(estage, default=0) + 1)
         self.edge_stamps = [0] * len(holders)
+        self.log: list[tuple[int, int]] = []
+        self.log_stamps: list[int] = []
         stage_edges = [0] * len(self.stamps)
         for eid, k in enumerate(estage):
             stage_edges[k] |= 1 << eid
@@ -219,8 +232,10 @@ class ReachMap:
         removed = old & ~mask
         self.bits_deleted += removed.bit_count()
         self.stamps[self.estage[eid]] = self.edge_stamps[eid] = self.bits_deleted
-        holders = self.holders
         ebit = 1 << eid
+        self.log.append((ebit, removed))
+        self.log_stamps.append(self.bits_deleted)
+        holders = self.holders
         while removed:
             low = removed & -removed
             holders[low.bit_length() - 1] ^= ebit
@@ -233,10 +248,10 @@ class ReachMap:
         changed edge, and are 0 exactly when no entry of those stages
         changed.
 
-        It returns that span, not a flag, because ``OperatorCaches.comp_value``
-        scans only the span's edges for dirty lanes: a flag followed by a
-        scan of every edge up to stage ``k`` made hc-reduced's perfbench
-        ``norm_wall_s`` 17% slower (4 of 4 paired runs, 2-core machine)."""
+        It returns that span, not a flag, so that ``OperatorCaches`` can
+        name the members it asks ``lost_within`` about: for a record at v,
+        the span of the stages below stage(v) leaves out the members ending
+        at v, which no test reads."""
         if t == self.bits_deleted:
             return 0
         stamps = self.stamps[: k + 1]
@@ -248,6 +263,18 @@ class ReachMap:
             if stamp > t:
                 span |= stage_edges[s]
         return span
+
+    def lost_within(self, members: int, t: int, within: int) -> int:
+        """The edges of ``members`` whose entry lost a bit of ``within``
+        since ``bits_deleted`` was ``t``.  It walks the changes made since
+        then, not the members, so it costs little for a recent ``t``."""
+        if not members:
+            return 0
+        lost = 0
+        for ebit, removed in self.log[bisect_right(self.log_stamps, t) :]:
+            if removed & within and members & ebit:
+                lost |= ebit
+        return lost
 
 
 def init_all(g: MultistageGraph) -> ReachMap:
@@ -324,6 +351,8 @@ def comp(
             low = m & -m
             support |= entries[low.bit_length() - 1]
             m ^= low
+    if not working:
+        return 0
     tidied = start is not None  # a result of comp is already tidy
     bound = es.bit_count() + 1
     sweeps = 0
@@ -348,7 +377,7 @@ def comp(
         if working != before or not tidied:  # tidy is idempotent
             working = _tidy_idx(g, working, src, vi)
             tidied = True
-        if working == before:
+        if working == before or not working:
             if working & ~es:
                 raise AbnormalTerminationError("comp grew its input edge set")
             return working
@@ -457,19 +486,26 @@ class OperatorCaches:
     ``esets[v]`` starts as vertex v's edge set in the graph (0 for the
     source); the solver shrinks it in place, and ``comp_of(v)`` contracts it.
 
-    One rule judges staleness: each record notes ``r.bits_deleted`` when it
-    was last known exact and stands while ``r.changed_since(k, stamp)`` is 0
-    for the highest stage k whose entries it read: stage(v) - 1 for a
-    ``comp`` result at v and for the fixpoints found there (``fixpoints``;
-    members ending at v are exempt from the test), the highest stage of
-    the exact lanes for lane tables (``mid_tidy``).  No record holds a
-    value of ``r.entries``: a ``comp`` entry is its result and its stamp.
-    A run from a stale ``comp`` result reads only the entries of the
-    members it tests, so only the members whose ``r.edge_stamps`` are
-    newer than the entry's stamp (its dirty lanes) can fail, and they lie
-    in the stages ``changed_since`` returns, the only members scanned.
-    With no dirty lane the result stands, otherwise ``comp`` re-runs from
-    the result testing those lanes first (``start``, ``lanes``).
+    One rule judges staleness.  Each record reads the entries of some edges
+    only inside a set X it holds: a ``comp`` result W at v reads R(f) & W
+    for its members f (X = W; members ending at v are exempt from the
+    test), so does a fixpoint W found at v (``fixpoints``), and lane ec of
+    the tables towards b reads R(ec) & es (``mid_tidy``; X = es).  Each
+    record notes ``r.bits_deleted`` when it was last known exact, and
+    ``r.lost_within`` picks the edges it read whose entries lost a bit
+    inside X since then (``r.changed_since`` first passes over a record
+    none of whose stages changed).  With none, every read is as before,
+    so the record is still exact and is re-stamped: W is still a fixpoint
+    of comp's step (whose tidy reads no entry), and still the greatest
+    inside the ``comp`` key's edge set, since that can only shrink as
+    entries do.  No record holds a value of ``r.entries``: a ``comp`` entry
+    is its result and its stamp.
+    A stale ``comp`` entry with no such member settles (``comp_settled``);
+    otherwise ``comp`` re-runs from the result, testing those members
+    first (``start``, ``lanes``).  A found fixpoint with such a member is
+    dropped, and lane tables with such a lane are rebuilt.  A cold ``comp``
+    result is also entered under its own value, since comp of a fixpoint is
+    itself.
     """
 
     __slots__ = (
@@ -492,11 +528,11 @@ class OperatorCaches:
         self.esets = [m if m is not None else 0 for m in graph._esets]  # by vertex index
         # (vi, es) -> [result, stamp]
         self._comp: dict[tuple[int, int], list] = {}
-        # bi -> ((fwd, back), es, stamp when built)
-        self._lanes: dict[int, tuple] = {}
+        # bi -> [(fwd, back), es, stamp]
+        self._lanes: dict[int, list] = {}
         self.comp_runs = 0
         self.comp_warm = 0  # the runs of comp that started from a cached result
-        self.comp_settled = 0  # stale entries none of whose members changed
+        self.comp_settled = 0  # stale entries none of whose members lost a bit inside
         self.comp_hits = 0
         # vi -> [nonempty comp results found at vi, stamp]
         self._found: dict[int, list] = {}
@@ -509,6 +545,7 @@ class OperatorCaches:
         if hit is None:
             result = comp(es, g._vnames[vi], r, g)
             self._comp[vi, es] = [result, r.bits_deleted]
+            self._comp[vi, result] = [result, r.bits_deleted]  # comp of a fixpoint is itself
             self.comp_runs += 1
             return result
         result, stamp = hit
@@ -517,14 +554,7 @@ class OperatorCaches:
             hit[1] = r.bits_deleted
             # every member changed since stamp lies in span; the members
             # ending at vi, exempt from the test, lie in vi's stage outside it
-            stamps = r.edge_stamps
-            dirty = 0
-            m = result & span
-            while m:
-                low = m & -m
-                m ^= low
-                if stamps[low.bit_length() - 1] > stamp:
-                    dirty |= low
+            dirty = r.lost_within(result & span, stamp, result)
             if dirty:
                 new = comp(es, g._vnames[vi], r, g, start=result, lanes=dirty)
                 self.comp_runs += 1
@@ -544,32 +574,45 @@ class OperatorCaches:
 
         Lane ec walks R(ec) & es: f is in tidy(R(ec) & es, head(ec), bi) iff
         f is in es and bit ec is in holders[f] & fwd[efrom[f]] & back[eto[f]].
-        One pair is kept per ``bi``, exact for every lane when built; a lane
-        reads only its own entry, so the pair stays exact for those lanes
-        while ``es`` and the entries of stages below ``stage`` do.
+        One pair is kept per ``bi``, exact for every lane when stamped; a
+        lane reads only its own entry inside ``es``, so the pair stays exact
+        for those lanes while ``es`` does and the entries of stages below
+        ``stage`` lose no bit of it.  It is re-stamped only when no lane at
+        all lost one, because later calls may ask for every lane.
         """
         r = self.r
         g = self.graph
         hit = self._lanes.get(bi)
-        if hit is not None and hit[1] == es and not r.changed_since(stage - 1, hit[2]):
-            return hit[0]
+        if hit is not None and hit[1] == es:
+            tables, _, t = hit
+            if not r.changed_since(stage - 1, t):
+                return tables
+            lanes = (1 << g._stage_end[g._vstage[bi] - 1]) - 1
+            if not r.lost_within(lanes, t, es):
+                hit[2] = r.bits_deleted
+                return tables
         tables = (_forward_lanes(g, r.holders, es, bi), _backward_lanes(g, r.holders, es, bi))
-        self._lanes[bi] = (tables, es, r.bits_deleted)
+        self._lanes[bi] = [tables, es, r.bits_deleted]
         return tables
 
     def fixpoints(self, vi: int) -> list[int]:
         """The nonempty ``comp`` results found at vertex ``vi`` that are
         still fixpoints of its step; callers append the ones they find.
 
-        A member's test reads only its own entry, and every tested member
-        of a result at ``vi`` is an edge of a stage below stage(``vi``), so
-        the list stays exact while the entries of those stages do.
+        A member's test reads only its own entry inside the result, and
+        every tested member of a result at ``vi`` is an edge of a stage
+        below stage(``vi``), so a result stays a fixpoint while none of
+        those members loses a bit inside it; the others are dropped.
         """
         r = self.r
         hit = self._found.get(vi)
-        if hit is not None and not r.changed_since(self.graph._vstage[vi] - 1, hit[1]):
-            hit[1] = r.bits_deleted
-            return hit[0]
-        found: list[int] = []
-        self._found[vi] = [found, r.bits_deleted]
+        if hit is None:
+            found: list[int] = []
+            self._found[vi] = [found, r.bits_deleted]
+            return found
+        found, t = hit
+        span = r.changed_since(self.graph._vstage[vi] - 1, t)
+        if span:
+            found[:] = [w for w in found if not r.lost_within(w & span, t, w)]
+        hit[1] = r.bits_deleted
         return found

@@ -300,6 +300,26 @@ def test_fuzz_resume_without_an_output_directory_exits_usage_error(capsys, tmp_p
     assert err.strip() == "msplab: --resume needs --out or $MSPLAB_ARCHIVE to resume from"
 
 
+def test_fuzz_treats_an_empty_archive_variable_as_unset(capsys, tmp_path, monkeypatch):
+    """``MSPLAB_ARCHIVE=`` names no directory: a campaign writes nothing into
+    the working directory, and ``--resume`` has nowhere to resume from."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("MSPLAB_ARCHIVE", "")
+    config = tmp_path / "campaign.cfg"
+    config.write_text("instances = 3\nstages_min = 3\nstages_max = 3\nwidth_max = 2\n")
+    status, out, _ = run_cli(capsys, "fuzz", "--config", str(config), "--machine")
+    assert status == EXIT_OK
+    assert json.loads(out)["instances"] == 3
+    assert list(cwd.iterdir()) == []
+    status, out, err = run_cli(capsys, "fuzz", "--config", str(config), "--resume")
+    assert status == EXIT_USAGE
+    assert out == ""
+    assert err.strip() == "msplab: --resume needs --out or $MSPLAB_ARCHIVE to resume from"
+    assert list(cwd.iterdir()) == []
+
+
 def test_fuzz_out_naming_a_file_exits_file_error(capsys, tmp_path):
     (tmp_path / "out").write_text("not a directory\n")
     status, out, err = run_small_campaign(capsys, tmp_path)

@@ -29,6 +29,12 @@ workers, and 12 seeds with empty edge sets and a solver stubbed to YES, so
 that every finding is a candidate counterexample and is minimized.  A change
 that alters the archive, ``report.jsonl`` or ``progress.json`` on purpose
 updates ``CAMPAIGN_DIGEST`` and says so in CHANGES.md.
+
+``MINIMIZED_DIGEST`` pins the minimizer the same way, on 20 seeds with
+empty edge sets and a solver stubbed to say YES only on graphs of at least
+four edges.  Minimization then stops at graphs of four edges or more, and
+which ones it keeps depends on the minimizer's move order, its sort key and
+its budget.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from msplab.zh import ZhMetrics, ZhResult, zh_solve
 DIGEST = "637e334a870883a2a7d943f0daf979ebf6c1f7daca4fe047a3a4c06b5e1d16af"
 GEN_DIGEST = "512cc01d166180f49e1a3d8906681de3c48ab871caf80249ba81a61bc02d347f"
 CAMPAIGN_DIGEST = "52264423b199f33d2b338f2f073d7b016f0173e9f8450c750550769f2e8e15a5"
+MINIMIZED_DIGEST = "7742ef5323ea3d1297087c3edfac9ed058d050ded00fa37259cce0a0a964eabb"
 
 
 def corpus():
@@ -130,10 +137,28 @@ def test_campaign_outputs_match_golden_digest(tmp_path, monkeypatch):
     )
     config = campaign_config(instances=12, eset_densities=(0.0,), minimize_budget=60)
     run_differential(config, out_dir=tmp_path / "minimized")
+    assert output_digest(tmp_path) == CAMPAIGN_DIGEST
 
+
+def test_minimized_findings_match_golden_digest(tmp_path, monkeypatch):
+    def zh_solve_stub(g, opts=None):
+        if g.edge_count >= 4:
+            return ZhResult("YES", g.full_mask, ZhMetrics(outer_sweeps=1))
+        return ZhResult("NO", 0, ZhMetrics(outer_sweeps=1))
+
+    monkeypatch.setattr(lab, "zh_solve", zh_solve_stub)
+    config = campaign_config(instances=20, eset_densities=(0.0,), minimize_budget=60)
+    run_differential(config, out_dir=tmp_path)
+    assert len(list(tmp_path.rglob("minimized.msp"))) == 7
+    assert output_digest(tmp_path) == MINIMIZED_DIGEST
+
+
+def output_digest(root) -> str:
+    """One sha256 over the relative path and bytes of every file under
+    ``root`` but ``report.txt``."""
     h = hashlib.sha256()
-    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
         if path.name != "report.txt":
-            h.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
+            h.update(path.relative_to(root).as_posix().encode() + b"\0")
             h.update(path.read_bytes() + b"\0")
-    assert h.hexdigest() == CAMPAIGN_DIGEST
+    return h.hexdigest()

@@ -400,20 +400,30 @@ def lane_tidy(g, r, tables, es, ec):
     )
 
 
+def lost_since(g, r, history, t, members, within):
+    """The edges of ``members`` whose entry lost a bit of ``within`` since
+    ``r.bits_deleted`` was ``t``, read from ``history`` (a copy of
+    ``r.entries`` for every ``bits_deleted`` value so far)."""
+    return edge_set(f for f in edge_ids(members) if history[t][f] & ~r.entries[f] & within)
+
+
 def test_operator_caches_stay_exact_as_entries_shrink():
-    """Cached comp results and lane tables always equal fresh ones while
-    reachable-set entries shrink, whether or not the cached call read them.
-    Some stale comp entries must settle without a run (every shrink of the
-    entries they read missed the cached result) and some must re-run."""
+    """Cached comp results, lane tables and found fixpoints always equal
+    fresh ones while reachable-set entries shrink, whether or not the cached
+    call read them.  Each of the three records must be kept at least once
+    although an entry it read changed, because every shrink of that entry
+    missed the record's set; some comp entries must also re-run."""
     import random
 
-    hits = changed = lane_hits = warm = settled = 0
+    hits = changed = lane_hits = warm = 0
+    comp_missed = lanes_missed = found_missed = 0
     for seed in range(40):
         g = random_graph(seed, stages=3 + seed % 3, eset_p=0.9)
         if not g.full_mask:
             continue
         rnd = random.Random(3000 + seed)
         r = init_all(g)
+        history = {0: list(r.entries)}
         names = g.vertex_names()
         caches = OperatorCaches(g, r)
         vis = range(1, len(names))
@@ -433,16 +443,40 @@ def test_operator_caches_stay_exact_as_entries_shrink():
         for step in range(12):
             seen = []
             for es, vi in comp_queries:
+                entry = caches._comp.get((vi, es))
+                moved = entry is not None and any(
+                    r.edge_stamps[f] > entry[1] for f in edge_ids(entry[0] & ~g._in_mask[vi])
+                )
+                settled = caches.comp_settled
                 seen.append(caches.comp_value(es, vi))
                 assert seen[-1] == comp(es, names[vi], r, g), (seed, step)
+                comp_missed += moved and caches.comp_settled > settled
             for bi, ceb, stage in mid_queries:
+                hit = caches._lanes.get(bi)
+                stale = hit is not None and hit[1] == ceb and r.changed_since(stage - 1, hit[2])
                 tables = caches.mid_tidy(bi, ceb, stage)
                 lane_hits += tables is last_tables.get(bi)
+                lanes_missed += bool(stale) and tables is hit[0]
                 last_tables[bi] = tables
                 for ec in range(g._stage_end[stage - 1]):  # the lanes of stages < stage
                     seen.append(lane_tidy(g, r, tables, ceb, ec))
                     want = tidy(r.entries[ec] & ceb, g.edge_triple(ec)[1], names[bi], g)
                     assert seen[-1] == want, (seed, step, bi, ec)
+            for vi in vis:
+                hit = caches._found.get(vi)
+                before, t = (list(hit[0]), hit[1]) if hit is not None else ([], 0)
+                found = caches.fixpoints(vi)
+                tested = ~g._in_mask[vi]  # members ending at vi are exempt
+                assert found == [
+                    w for w in before if not lost_since(g, r, history, t, w & tested, w)
+                ], (seed, step, vi)
+                for w in found:
+                    assert comp(w, names[vi], r, g) == w, (seed, step, vi)
+                    found_missed += any(r.edge_stamps[f] > t for f in edge_ids(w & tested))
+                for es in (es for es, vj in comp_queries if vj == vi):
+                    w = caches.comp_value(es, vi)
+                    if w and w not in found:
+                        found.append(w)
             changed += last is not None and seen != last
             last = seen
             # shrink entries, alternating between edges the edge-set queries
@@ -450,17 +484,19 @@ def test_operator_caches_stay_exact_as_entries_shrink():
             for eid in edge_ids(read if step % 2 else g.full_mask & ~read):
                 keep = rnd.randrange(g.full_mask + 1)
                 r.set_entry(eid, r.entries[eid] & (keep | keep >> 1))
+                history[r.bits_deleted] = list(r.entries)
         hits += caches.comp_hits
         warm += caches.comp_warm
-        settled += caches.comp_settled
         assert caches.comp_settled <= caches.comp_hits
-    assert hits > 0 and changed > 0 and lane_hits > 0 and warm > 0 and settled > 0
+    assert hits > 0 and changed > 0 and lane_hits > 0 and warm > 0
+    assert comp_missed > 0 and lanes_missed > 0 and found_missed > 0
 
 
 def test_comp_cache_picks_the_changed_members_as_dirty_lanes(monkeypatch):
     """A stale ``comp`` entry re-runs with exactly the members of its result
-    not ending at v whose entries changed after it (edge stamps newer than
-    its stamp) as lanes, and with none it counts one ``comp_settled``."""
+    not ending at v whose entries lost a bit inside the result since its
+    stamp as lanes.  With none it counts one ``comp_settled``, also when
+    some of its members' entries changed outside the result."""
     import random
 
     from msplab import operators
@@ -475,10 +511,11 @@ def test_comp_cache_picks_the_changed_members_as_dirty_lanes(monkeypatch):
     monkeypatch.setattr(operators, "comp", spy)
     graphs = [random_graph(seed, stages=3 + seed % 3, eset_p=0.9) for seed in range(25)]
     graphs += [reduce_hc_to_msp(gen_ugraph(5, 0.6, seed))[0] for seed in range(4)]
-    dirty_runs = settled = 0
+    dirty_runs = settled = missed = 0
     for gi, g in enumerate(graphs):
         rnd = random.Random(7000 + gi)
         r = init_all(g)
+        history = {0: list(r.entries)}
         names = g.vertex_names()
         caches = OperatorCaches(g, r)
         vis = range(1, len(names))
@@ -494,9 +531,9 @@ def test_comp_cache_picks_the_changed_members_as_dirty_lanes(monkeypatch):
                     continue
                 result, stamp = entry
                 stale = bool(r.changed_since(g._vstage[vi] - 1, stamp))
-                want = edge_set(
-                    f for f in edge_ids(result & ~g._in_mask[vi]) if r.edge_stamps[f] > stamp
-                )
+                tested = result & ~g._in_mask[vi]
+                want = lost_since(g, r, history, stamp, tested, result)
+                moved = any(r.edge_stamps[f] > stamp for f in edge_ids(tested))
                 assert caches.comp_value(es, vi) == real_comp(es, names[vi], r, g), (gi, step)
                 if want:
                     assert stale and lanes_seen == [want], (gi, step, vi)
@@ -505,11 +542,13 @@ def test_comp_cache_picks_the_changed_members_as_dirty_lanes(monkeypatch):
                     assert lanes_seen == []
                     assert caches.comp_settled == settled_before + stale
                     settled += stale
+                    missed += moved
             held = [eid for eid, m in enumerate(r.entries) if m]
             for eid in rnd.sample(held, min(len(held), 3)):
                 drop = 1 << rnd.choice(edge_ids(r.entries[eid]))
                 r.set_entry(eid, r.entries[eid] & ~drop)
-    assert dirty_runs > 0 and settled > 0
+                history[r.bits_deleted] = list(r.entries)
+    assert dirty_runs > 0 and settled > 0 and missed > 0
 
 
 # Two routes from a1 to y, one through e = u->v; a2 reaches y only through e.
@@ -665,6 +704,38 @@ def test_caches_ignore_entries_of_the_target_stage(chain_c):
     assert caches.comp_value(chain_c.full_mask, bi) == 0
     assert (caches.comp_runs, caches.comp_warm) == (2, 1)
     assert caches.fixpoints(bi) == []
+
+
+def test_comp_cache_enters_a_cold_result_under_its_own_value(chain_c):
+    """comp of a fixpoint is itself, so after a cold run the result, asked
+    for as an edge set, is a cache hit and not a second run."""
+    r = init_all(chain_c)
+    caches = OperatorCaches(chain_c, r)
+    bi = chain_c.vertex_names().index("b")
+    want = caches.comp_value(chain_c.full_mask, bi)
+    assert want == mask_of(chain_c, [("S", "a", 1), ("a", "b", 2)])
+    assert caches.comp_value(want, bi) == want == comp(want, "b", r, chain_c)
+    assert (caches.comp_runs, caches.comp_hits) == (1, 1)
+
+
+def test_lane_tables_are_restamped_only_when_every_lane_stands(chain_c):
+    """``mid_tidy`` keeps a stamp-stale pair of tables, and re-stamps it,
+    when no lane lost a bit of its edge set.  A loss in a lane above the
+    stages asked for keeps the pair from being re-stamped, so it is rebuilt
+    and a later call for every lane reads the new entries."""
+    r = init_all(chain_c)
+    caches = OperatorCaches(chain_c, r)
+    names = chain_c.vertex_names()
+    bi, di = names.index("b"), names.index("D")
+    e1, e2, e3 = (chain_c.edge_id(*e) for e in (E1, E2, E3))
+    at_b = caches.mid_tidy(bi, 1 << e1, 2)
+    at_d = caches.mid_tidy(di, 1 << e3, 3)
+    assert r.set_entry(e1, 1 << e3)  # R(S->a) loses a->b, outside both sets
+    assert caches.mid_tidy(bi, 1 << e1, 2) is at_b
+    assert caches._lanes[bi][2] == r.bits_deleted
+    assert r.set_entry(e2, 0)  # R(a->b) loses b->D, inside the set at D
+    assert caches.mid_tidy(di, 1 << e3, 2) is not at_d  # asks for lane S->a only
+    assert lane_tidy(chain_c, r, caches.mid_tidy(di, 1 << e3, 3), 1 << e3, e2) == 0
 
 
 def test_found_fixpoints_certify_every_superset():
