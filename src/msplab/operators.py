@@ -12,7 +12,8 @@
   pass (``_backward_lanes``) from the target over the transposed map
   ``ReachMap.holders``, seeded with the tested members as bit lanes
   (multi-source traversal after Then et al., PVLDB 8(4), 2014); member f
-  passes iff the pass carries lane f to f's head.  Its result is the
+  passes iff the pass carries lane f to f's head, which one mask step
+  checks for all the members sharing that head.  Its result is the
   greatest fixpoint of a monotone, deflationary step, so once the
   reachable sets shrink, the new result lies inside the old one (Tarski,
   Pacific J. Math. 5(2), 1955): ``start=`` resumes from an earlier
@@ -30,13 +31,21 @@
   ``OperatorCaches.mid_tidy`` keeps one pair of tables per target, which
   the solver's re-limit step reads too.  Edge ids ascend by stage, so each
   pass is one walk over the set bits of es, ascending forward and
-  descending backward.  The keep-guard asks whether comp(T, u) is empty
-  for an anchor set T.  ``comp``'s step does not depend on its input set
-  and ends with the source tidy, so every fixpoint inside T lies inside
-  tidy(T, source, u): the guard tidies nothing first, and a nonempty
-  result W found at u that is still a fixpoint lies inside comp(T, u)
-  whenever T holds W (Tarski again), so such a T passes with no ``comp``
-  lookup (``OperatorCaches.fixpoints``).
+  descending backward.  A forward row at stage k reads only the edges of
+  stages <= k, a backward row only those of stages > k, so both passes
+  are recomputed only where a change can reach (Ramalingam & Reps, TCS
+  158, 1996).  The backward table is built only down to the stage its
+  caller reads (``change`` on a stage-s edge reads it at stage s alone)
+  and extended by the missing stages when a deeper request comes.  After
+  a shrink, the forward pass resumes at the lowest stage holding a walked
+  edge that left es or whose ``holders`` changed, and the backward table
+  keeps its rows at and above the highest such stage.  The keep-guard
+  asks whether comp(T, u) is empty for an anchor set T.  ``comp``'s step
+  does not depend on its input set and ends with the source tidy, so
+  every fixpoint inside T lies inside tidy(T, source, u): the guard tidies
+  nothing first, and a nonempty result W found at u that is still a
+  fixpoint lies inside comp(T, u) whenever T holds W (Tarski again), so
+  such a T passes with no ``comp`` lookup (``OperatorCaches.fixpoints``).
 
 Two conventions the operator definitions leave open are pinned here:
 
@@ -60,7 +69,7 @@ leaves the record exact.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from .model import AbnormalTerminationError, EdgeSet, MultistageGraph
 
@@ -102,7 +111,14 @@ def _tidy_idx(g: MultistageGraph, es: int, ui: int, vi: int) -> int:
     return es & out_acc & in_acc
 
 
-def _forward_lanes(g: MultistageGraph, holders: list[int], es: int, vi: int) -> list[int]:
+def _forward_lanes(
+    g: MultistageGraph,
+    holders: list[int],
+    es: int,
+    vi: int,
+    fwd: list[int] | None = None,
+    low: int = 1,
+) -> list[int]:
     """fwd[x] for the vertices x of stages 1 .. stage(vi)-1: the lanes ec
     (one per edge) whose head reaches x along edges of R(ec) & es; 0
     elsewhere.
@@ -110,46 +126,82 @@ def _forward_lanes(g: MultistageGraph, holders: list[int], es: int, vi: int) -> 
     Edge ids ascend by stage, so one ascending walk over the edges of ``es``
     into those stages finishes every fwd[x] before an edge leaves x.
     Stage-1 edges leave the source, which no lane reaches.
+
+    fwd[x] reads only ``es`` and ``holders`` on the edges of stages up to
+    stage(x).  Given ``fwd``, a table towards ``vi`` whose rows of the
+    stages below ``low`` still hold, the pass resumes there: it recomputes
+    the rows of stages ``low`` .. stage(vi)-1 in place, walking only the
+    edges of those stages.
     """
-    stage = g._vstage[vi]
-    n = len(g._vstage)
-    if stage < 2:
-        return [0] * n
-    lo = g._stage_vertices[stage][0]  # vertex indices ascend by stage
-    fwd = list(g._in_mask[:lo])  # lanes whose head is x
-    fwd += [0] * (n - lo)
+    vstage = g._vstage
+    stage = vstage[vi]
+    if fwd is None:
+        fwd = [0] * len(vstage)
+        low = 1
+    if low >= stage:
+        return fwd
+    a = bisect_left(vstage, low)  # vertex indices ascend by stage
+    b = bisect_left(vstage, stage)
+    fwd[a:b] = g._in_mask[a:b]  # lanes whose head is x
     efrom = g._efrom
     eto = g._eto
     stage_end = g._stage_end
-    m = es & (1 << stage_end[stage - 1]) - (1 << stage_end[1])
+    m = es & (1 << stage_end[stage - 1]) - (1 << stage_end[max(low, 2) - 1])
     while m:
-        low = m & -m
-        f = low.bit_length() - 1
-        m ^= low
+        low_bit = m & -m
+        f = low_bit.bit_length() - 1
+        m ^= low_bit
         fwd[eto[f]] |= holders[f] & fwd[efrom[f]]
     return fwd
 
 
 def _backward_lanes(
-    g: MultistageGraph, holders: list[int], es: int, vi: int, seed: int = -1
+    g: MultistageGraph,
+    holders: list[int],
+    es: int,
+    vi: int,
+    seed: int = -1,
+    depth: int = 1,
+    back: list[int] | None = None,
+    top: int = 0,
 ) -> list[int]:
-    """back[x] for the vertices x of stages 1 .. stage(vi)-1: the lanes ec
-    of ``seed`` for which x reaches ``vi`` along edges of R(ec) & es
-    (back[vi] = ``seed``, all lanes by default; 0 elsewhere).
+    """back[x] for the vertices x of stages ``depth`` .. stage(vi)-1 (1 by
+    default): the lanes ec of ``seed`` for which x reaches ``vi`` along
+    edges of R(ec) & es (back[vi] = ``seed``, all lanes by default; 0
+    elsewhere).
 
     Edge ids ascend by stage, so one descending walk over the edges of
     ``es`` out of those stages finishes every back[x] before an edge enters
-    x.
+    x; it walks only the edges of stages above ``depth``.
+
+    back[x] reads only ``es`` and ``holders`` on the edges of stages above
+    stage(x).  Given ``back``, a table towards ``vi`` whose rows of stages
+    ``top`` and up still hold, the pass extends it downwards: it recomputes
+    the rows of stages ``depth`` .. ``top``-1 in place, walking only the
+    edges of stages ``depth``+1 .. ``top``; ``top`` above stage(vi) would
+    clear back[vi], and raises.
     """
-    stage = g._vstage[vi]
-    back = [0] * len(g._vstage)
-    back[vi] = seed
-    if stage < 2:
+    vstage = g._vstage
+    stage = vstage[vi]
+    if back is None:
+        back = [0] * len(vstage)
+        back[vi] = seed
+        top = stage
+    elif top > stage:
+        raise AbnormalTerminationError(f"backward table kept from stage {top}, above {stage}")
+    elif depth < top:
+        a = bisect_left(vstage, depth)  # vertex indices ascend by stage
+        b = bisect_left(vstage, top)
+        back[a:b] = [0] * (b - a)
+    if depth >= top:
         return back
     efrom = g._efrom
     eto = g._eto
     stage_end = g._stage_end
-    m = es & ((1 << stage_end[stage - 1]) - (1 << stage_end[1]) | g._in_mask[vi])
+    if top < stage:
+        m = es & (1 << stage_end[top]) - (1 << stage_end[depth])
+    else:  # of the edges of vi's stage, only those entering vi
+        m = es & ((1 << stage_end[stage - 1]) - (1 << stage_end[depth]) | g._in_mask[vi])
     while m:
         f = m.bit_length() - 1
         m ^= 1 << f
@@ -187,13 +239,13 @@ class ReachMap:
     ``holders`` alone (``ReachMap(holders=..., estage=...)``).  Entries only
     ever shrink after initialization, so ``bits_deleted`` (the bits removed
     so far) grows on every change, and keeping ``holders`` current costs at
-    most the size of the initial map over a whole run.  ``edge_stamps[e]``
-    is ``bits_deleted`` after the last change to entry e, and ``stamps[k]``
-    the same for the entries of stage k (``estage[e]`` is edge e's stage,
-    ``stage_edges[k]`` the edges of stage k), which ``changed_since`` reads.
-    ``log`` lists every change as ``(1 << e, the bits removed from entry
-    e)`` and ``log_stamps`` the ``bits_deleted`` after each, ascending;
-    ``lost_within`` reads them.
+    most the size of the initial map over a whole run.  ``stamps[k]`` is
+    ``bits_deleted`` after the last change to an entry of stage k
+    (``estage[e]`` is edge e's stage, ``stage_edges[k]`` the edges of stage
+    k), which ``changed_since`` reads.  ``log`` lists every change as
+    ``(1 << e, the bits removed from entry e)`` and ``log_stamps`` the
+    ``bits_deleted`` after each, ascending; ``lost_within`` and
+    ``removed_since`` read them.
     """
 
     __slots__ = (
@@ -202,7 +254,6 @@ class ReachMap:
         "bits_deleted",
         "estage",
         "stamps",
-        "edge_stamps",
         "log",
         "log_stamps",
         "stage_edges",
@@ -214,7 +265,6 @@ class ReachMap:
         self.bits_deleted = 0
         self.estage = estage
         self.stamps = [0] * (max(estage, default=0) + 1)
-        self.edge_stamps = [0] * len(holders)
         self.log: list[tuple[int, int]] = []
         self.log_stamps: list[int] = []
         stage_edges = [0] * len(self.stamps)
@@ -231,7 +281,7 @@ class ReachMap:
         self.entries[eid] = mask
         removed = old & ~mask
         self.bits_deleted += removed.bit_count()
-        self.stamps[self.estage[eid]] = self.edge_stamps[eid] = self.bits_deleted
+        self.stamps[self.estage[eid]] = self.bits_deleted
         ebit = 1 << eid
         self.log.append((ebit, removed))
         self.log_stamps.append(self.bits_deleted)
@@ -275,6 +325,14 @@ class ReachMap:
             if removed & within and members & ebit:
                 lost |= ebit
         return lost
+
+    def removed_since(self, t: int) -> int:
+        """The bits removed from any entry since ``bits_deleted`` was
+        ``t``: the edges f whose ``holders[f]`` changed since then."""
+        removed = 0
+        for _, bits in self.log[bisect_right(self.log_stamps, t) :]:
+            removed |= bits
+        return removed
 
 
 def init_all(g: MultistageGraph) -> ReachMap:
@@ -336,6 +394,7 @@ def comp(
     src = g._stage_vertices[0][0]
     holders = r.holders
     eto = g._eto
+    in_mask = g._in_mask
     working = es if start is None else start
     if working & ~es:
         raise AbnormalTerminationError("comp start lies outside its edge set")
@@ -364,16 +423,17 @@ def comp(
         # val[x]: the tested members whose reachable set, cut down to the
         # working set, carries a path from x to v
         val = _backward_lanes(g, holders, working & support, vi, lanes)
-        # a tested member f passes iff its head carries lane f; val[v] holds
-        # every lane, so members ending at v are exempt
-        dead = 0
+        # a tested member f passes iff its head x carries lane f, tested for
+        # all of x's members at once; val[v] holds every lane, so members
+        # ending at v are exempt
+        passed = 0
         m = lanes
         while m:
-            low = m & -m
-            m ^= low
-            if not val[eto[low.bit_length() - 1]] & low:
-                dead |= low
-        working &= ~dead  # untested members stay
+            x = eto[m.bit_length() - 1]
+            heads = m & in_mask[x]
+            m ^= heads
+            passed |= heads & val[x]
+        working &= ~lanes | passed  # untested members stay
         if working != before or not tidied:  # tidy is idempotent
             working = _tidy_idx(g, working, src, vi)
             tidied = True
@@ -447,7 +507,7 @@ def change(
                 # anchors ec with e in tidy(R(ec) & ceb, head(ec), bi)
                 anchored = 0
                 if ceb & ebit:
-                    fwd, back = caches.mid_tidy(bi, ceb, stage)
+                    fwd, back = caches.mid_tidy(bi, ceb, stage, stage)
                     anchored = holders[eid] & earlier & fwd[ui] & back[vi]
                 if not anchored:
                     for kid in per_b[bi]:
@@ -494,7 +554,8 @@ class OperatorCaches:
     record notes ``r.bits_deleted`` when it was last known exact, and
     ``r.lost_within`` picks the edges it read whose entries lost a bit
     inside X since then (``r.changed_since`` first passes over a record
-    none of whose stages changed).  With none, every read is as before,
+    none of whose stages changed; lane tables ask ``r.removed_since``
+    instead, see ``mid_tidy``).  With none, every read is as before,
     so the record is still exact and is re-stamped: W is still a fixpoint
     of comp's step (whose tidy reads no entry), and still the greatest
     inside the ``comp`` key's edge set, since that can only shrink as
@@ -503,7 +564,8 @@ class OperatorCaches:
     A stale ``comp`` entry with no such member settles (``comp_settled``);
     otherwise ``comp`` re-runs from the result, testing those members
     first (``start``, ``lanes``).  A found fixpoint with such a member is
-    dropped, and lane tables with such a lane are rebuilt.  A cold ``comp``
+    dropped, and lane tables with such a lane are recomputed from the
+    lowest stage the loss can reach.  A cold ``comp``
     result is also entered under its own value, since comp of a fixpoint is
     itself.
     """
@@ -528,7 +590,7 @@ class OperatorCaches:
         self.esets = [m if m is not None else 0 for m in graph._esets]  # by vertex index
         # (vi, es) -> [result, stamp]
         self._comp: dict[tuple[int, int], list] = {}
-        # bi -> [(fwd, back), es, stamp]
+        # bi -> [(fwd, back), es, stamp, the lowest stage back holds at]
         self._lanes: dict[int, list] = {}
         self.comp_runs = 0
         self.comp_warm = 0  # the runs of comp that started from a cached result
@@ -568,31 +630,53 @@ class OperatorCaches:
     def comp_of(self, vi: int) -> int:
         return self.comp_value(self.esets[vi], vi)
 
-    def mid_tidy(self, bi: int, es: int, stage: int) -> tuple[list[int], list[int]]:
+    def mid_tidy(self, bi: int, es: int, stage: int, depth: int) -> tuple[list[int], list[int]]:
         """Lane tables ``(fwd, back)`` of ``es`` towards vertex ``bi``, exact
-        for the lanes (edge ids) of the stages below ``stage``.
+        for the lanes (edge ids) of the stages below ``stage``: ``fwd`` at
+        every vertex, ``back`` at the vertices of stages ``depth`` and up.
 
         Lane ec walks R(ec) & es: f is in tidy(R(ec) & es, head(ec), bi) iff
         f is in es and bit ec is in holders[f] & fwd[efrom[f]] & back[eto[f]].
-        One pair is kept per ``bi``, exact for every lane when stamped; a
-        lane reads only its own entry inside ``es``, so the pair stays exact
-        for those lanes while ``es`` does and the entries of stages below
-        ``stage`` lose no bit of it.  It is re-stamped only when no lane at
-        all lost one, because later calls may ask for every lane.
+        ``change`` on an edge of stage s reads back only at the edge's head,
+        so it asks for depth s; the re-limit step asks for depth 1.
+
+        One pair is kept per ``bi``, with the lowest stage its back rows
+        reach; a deeper request extends back by the missing stages alone.
+        The pair is exact for every lane when stamped; a lane reads only its
+        own entry inside ``es``, so the pair stays exact for the lanes of
+        stages below ``stage`` while ``es`` does and their entries lose no
+        bit of it.  Otherwise the edges the passes walk that changed since
+        the stamp are those that left or joined ``es`` and those whose
+        ``holders`` changed (``r.removed_since``).  With none the pair is
+        re-stamped as it is, because later calls may ask for every lane.
+        Else fwd resumes at the lowest stage holding a changed edge, and
+        back keeps its rows of the stages at or above the highest one.
         """
         r = self.r
         g = self.graph
-        hit = self._lanes.get(bi)
-        if hit is not None and hit[1] == es:
-            tables, _, t = hit
-            if not r.changed_since(stage - 1, t):
-                return tables
-            lanes = (1 << g._stage_end[g._vstage[bi] - 1]) - 1
-            if not r.lost_within(lanes, t, es):
-                hit[2] = r.bits_deleted
-                return tables
-        tables = (_forward_lanes(g, r.holders, es, bi), _backward_lanes(g, r.holders, es, bi))
-        self._lanes[bi] = [tables, es, r.bits_deleted]
+        rec = self._lanes.get(bi)
+        if rec is None:
+            tables = (
+                _forward_lanes(g, r.holders, es, bi),
+                _backward_lanes(g, r.holders, es, bi, depth=depth),
+            )
+            self._lanes[bi] = [tables, es, r.bits_deleted, depth]
+            return tables
+        tables, old, t, top = rec  # back holds at the stages top and up
+        if old != es or r.changed_since(stage - 1, t):
+            walked = g.span_mask(2, g._vstage[bi] - 1) | g._in_mask[bi]
+            changed = (old ^ es | r.removed_since(t) & es) & walked
+            if changed:
+                estage = g._estage
+                fwd, back = tables
+                low = estage[(changed & -changed).bit_length() - 1]
+                _forward_lanes(g, r.holders, es, bi, fwd, low)
+                top = rec[3] = max(top, estage[changed.bit_length() - 1])
+                tables = (fwd, back)
+            rec[:3] = tables, es, r.bits_deleted
+        if depth < top:
+            _backward_lanes(g, r.holders, es, bi, depth=depth, back=tables[1], top=top)
+            rec[3] = depth
         return tables
 
     def fixpoints(self, vi: int) -> list[int]:
@@ -602,7 +686,10 @@ class OperatorCaches:
         A member's test reads only its own entry inside the result, and
         every tested member of a result at ``vi`` is an edge of a stage
         below stage(``vi``), so a result stays a fixpoint while none of
-        those members loses a bit inside it; the others are dropped.
+        those members loses a bit inside it; the others are dropped.  One
+        ``r.lost_within`` over the union of the list names the suspects,
+        the members that lost a bit inside the union; only the results
+        holding a suspect are asked about again.
         """
         r = self.r
         hit = self._found.get(vi)
@@ -612,7 +699,14 @@ class OperatorCaches:
             return found
         found, t = hit
         span = r.changed_since(self.graph._vstage[vi] - 1, t)
-        if span:
-            found[:] = [w for w in found if not r.lost_within(w & span, t, w)]
+        if span and found:
+            union = 0
+            for w in found:
+                union |= w
+            suspects = r.lost_within(union & span, t, union)
+            if suspects:
+                found[:] = [
+                    w for w in found if not (w & suspects and r.lost_within(w & suspects, t, w))
+                ]
         hit[1] = r.bits_deleted
         return found

@@ -198,7 +198,7 @@ def limit_tables(caches: OperatorCaches, stage: int) -> tuple[list[int], int]:
     keep = [0] * top
     for vi in g._stage_vertices[stage]:
         ceb = esets[vi]
-        fwd, back = caches.mid_tidy(vi, ceb, stage)
+        fwd, back = caches.mid_tidy(vi, ceb, stage, 1)
         m = ceb
         while m:
             low = m & -m

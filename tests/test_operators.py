@@ -31,6 +31,21 @@ def mask_of(g, triples):
     return edge_set(g.edge_id(*t) for t in triples)
 
 
+def gap_graph(seed, stages, gap):
+    """``random_graph`` with universal edge sets, less the vertices of stage
+    ``gap`` and every edge touching them: an empty middle stage, as
+    ``gen_msp`` can draw."""
+    vertices, edges, esets = random_graph(seed, stages=stages, eset_p=2.0).document_data()
+    gone = {name for name, stage in vertices if stage == gap}
+    edges = [t for t in edges if gone.isdisjoint(t[:2])]
+    return mk_graph(
+        stages,
+        [v for v in vertices if v[0] not in gone],
+        edges,
+        {name: [t for t in es if t in edges] for name, es in esets.items() if name not in gone},
+    )
+
+
 # -- tidy ------------------------------------------------------------------
 
 
@@ -389,7 +404,8 @@ def test_change_result_within_prior_entry():
 
 def lane_tidy(g, r, tables, es, ec):
     """tidy(R(ec) & es, head(ec), bi), read back from the lane tables that
-    ``OperatorCaches.mid_tidy(bi, es, stage)`` returned."""
+    ``OperatorCaches.mid_tidy(bi, es, stage, depth)`` returned; only its
+    edges of stages ``depth`` and up are exact."""
     fwd, back = tables
     vidx = {name: i for i, name in enumerate(g.vertex_names())}
     ends = [(vidx[src], vidx[dst]) for src, dst, _ in map(g.edge_triple, edge_ids(es))]
@@ -398,6 +414,12 @@ def lane_tidy(g, r, tables, es, ec):
         for f, (a, b) in zip(edge_ids(es), ends)
         if (r.holders[f] & fwd[a] & back[b]) >> ec & 1
     )
+
+
+def changed_entries(history, r, t, members):
+    """The edges of ``members`` whose entry changed since ``r.bits_deleted``
+    was ``t``, read from ``history`` (see ``lost_since``)."""
+    return edge_set(f for f in edge_ids(members) if history[t][f] != r.entries[f])
 
 
 def lost_since(g, r, history, t, members, within):
@@ -412,13 +434,21 @@ def test_operator_caches_stay_exact_as_entries_shrink():
     fresh ones while reachable-set entries shrink, whether or not the cached
     call read them.  Each of the three records must be kept at least once
     although an entry it read changed, because every shrink of that entry
-    missed the record's set; some comp entries must also re-run."""
+    missed the record's set; some comp entries must also re-run.
+
+    Each lane-table query also draws a depth, full depth included: for
+    every lane below its stage, the tables must give a fresh tidy on every
+    edge of the stages from that depth up, and equal fresh lane passes at
+    every vertex they cover.  Tables must be extended downwards and resumed
+    after a shrink, not only rebuilt, and the graphs include empty middle
+    stages."""
     import random
 
     hits = changed = lane_hits = warm = 0
-    comp_missed = lanes_missed = found_missed = 0
-    for seed in range(40):
-        g = random_graph(seed, stages=3 + seed % 3, eset_p=0.9)
+    comp_missed = lanes_missed = found_missed = extended = resumed = 0
+    graphs = [random_graph(seed, stages=3 + seed % 3, eset_p=0.9) for seed in range(40)]
+    graphs += [gap_graph(seed, stages=5 + seed % 2, gap=2 + seed % 3) for seed in range(6)]
+    for seed, g in enumerate(graphs):
         if not g.full_mask:
             continue
         rnd = random.Random(3000 + seed)
@@ -431,37 +461,51 @@ def test_operator_caches_stay_exact_as_entries_shrink():
         read = 0  # edges whose entries the edge-set queries read
         for vi in vis:
             read |= g.eset(names[vi])
-        # one edge set per target; each table is asked for some lanes, then all
-        mid_queries = [
-            (bi, ceb, stage)
-            for bi in vis
-            for ceb in (g.full_mask if bi % 2 else rnd.randrange(g.full_mask + 1),)
-            for stage in (rnd.randrange(1, g.stage_count + 2), g.stage_count + 1)
-        ]
+        # one edge set per target; each table is asked for some lanes, then
+        # all, each time at a depth drawn from 1 .. stage(bi); every other
+        # step the edge set loses some edges, as comp results do
+        mid_sets = {bi: g.full_mask if bi % 2 else rnd.randrange(g.full_mask + 1) for bi in vis}
         last = None
         last_tables = {}
         for step in range(12):
             seen = []
             for es, vi in comp_queries:
                 entry = caches._comp.get((vi, es))
-                moved = entry is not None and any(
-                    r.edge_stamps[f] > entry[1] for f in edge_ids(entry[0] & ~g._in_mask[vi])
+                moved = entry is not None and changed_entries(
+                    history, r, entry[1], entry[0] & ~g._in_mask[vi]
                 )
                 settled = caches.comp_settled
                 seen.append(caches.comp_value(es, vi))
                 assert seen[-1] == comp(es, names[vi], r, g), (seed, step)
                 comp_missed += moved and caches.comp_settled > settled
-            for bi, ceb, stage in mid_queries:
-                hit = caches._lanes.get(bi)
-                stale = hit is not None and hit[1] == ceb and r.changed_since(stage - 1, hit[2])
-                tables = caches.mid_tidy(bi, ceb, stage)
-                lane_hits += tables is last_tables.get(bi)
-                lanes_missed += bool(stale) and tables is hit[0]
-                last_tables[bi] = tables
-                for ec in range(g._stage_end[stage - 1]):  # the lanes of stages < stage
-                    seen.append(lane_tidy(g, r, tables, ceb, ec))
-                    want = tidy(r.entries[ec] & ceb, g.edge_triple(ec)[1], names[bi], g)
-                    assert seen[-1] == want, (seed, step, bi, ec)
+            for bi in vis:
+                if step % 2:
+                    mid_sets[bi] &= rnd.randrange(g.full_mask + 1) | rnd.randrange(g.full_mask + 1)
+                ceb = mid_sets[bi]
+                for stage in (rnd.randrange(1, g.stage_count + 2), g.stage_count + 1):
+                    depth = rnd.randrange(1, g._vstage[bi] + 1)
+                    hit = caches._lanes.get(bi)
+                    kept = hit[0] if hit is not None else None
+                    stale = hit is not None and hit[1] == ceb
+                    stale = stale and r.changed_since(stage - 1, hit[2])
+                    extended += hit is not None and depth < hit[3]
+                    tables = caches.mid_tidy(bi, ceb, stage, depth)
+                    lane_hits += tables is last_tables.get(bi)
+                    lanes_missed += bool(stale) and tables is kept
+                    resumed += kept is not None and tables is not kept
+                    last_tables[bi] = tables
+                    above = g.span_mask(depth, g.stage_count)
+                    lanes = (1 << g._stage_end[stage - 1]) - 1  # the lanes of stages < stage
+                    for ec in edge_ids(lanes):
+                        seen.append(lane_tidy(g, r, tables, ceb & above, ec))
+                        want = tidy(r.entries[ec] & ceb, g.edge_triple(ec)[1], names[bi], g)
+                        assert seen[-1] == want & above, (seed, step, bi, ec)
+                    fresh_fwd = _forward_lanes(g, r.holders, ceb, bi)
+                    fresh_back = _backward_lanes(g, r.holders, ceb, bi)
+                    for x in range(len(names)):
+                        assert tables[0][x] & lanes == fresh_fwd[x] & lanes, (seed, step, bi, x)
+                        if g._vstage[x] >= depth:
+                            assert tables[1][x] & lanes == fresh_back[x] & lanes, (seed, step, x)
             for vi in vis:
                 hit = caches._found.get(vi)
                 before, t = (list(hit[0]), hit[1]) if hit is not None else ([], 0)
@@ -472,7 +516,7 @@ def test_operator_caches_stay_exact_as_entries_shrink():
                 ], (seed, step, vi)
                 for w in found:
                     assert comp(w, names[vi], r, g) == w, (seed, step, vi)
-                    found_missed += any(r.edge_stamps[f] > t for f in edge_ids(w & tested))
+                    found_missed += bool(changed_entries(history, r, t, w & tested))
                 for es in (es for es, vj in comp_queries if vj == vi):
                     w = caches.comp_value(es, vi)
                     if w and w not in found:
@@ -490,6 +534,7 @@ def test_operator_caches_stay_exact_as_entries_shrink():
         assert caches.comp_settled <= caches.comp_hits
     assert hits > 0 and changed > 0 and lane_hits > 0 and warm > 0
     assert comp_missed > 0 and lanes_missed > 0 and found_missed > 0
+    assert extended > 0 and resumed > 0
 
 
 def test_comp_cache_picks_the_changed_members_as_dirty_lanes(monkeypatch):
@@ -533,7 +578,7 @@ def test_comp_cache_picks_the_changed_members_as_dirty_lanes(monkeypatch):
                 stale = bool(r.changed_since(g._vstage[vi] - 1, stamp))
                 tested = result & ~g._in_mask[vi]
                 want = lost_since(g, r, history, stamp, tested, result)
-                moved = any(r.edge_stamps[f] > stamp for f in edge_ids(tested))
+                moved = bool(changed_entries(history, r, stamp, tested))
                 assert caches.comp_value(es, vi) == real_comp(es, names[vi], r, g), (gi, step)
                 if want:
                     assert stale and lanes_seen == [want], (gi, step, vi)
@@ -721,21 +766,47 @@ def test_comp_cache_enters_a_cold_result_under_its_own_value(chain_c):
 def test_lane_tables_are_restamped_only_when_every_lane_stands(chain_c):
     """``mid_tidy`` keeps a stamp-stale pair of tables, and re-stamps it,
     when no lane lost a bit of its edge set.  A loss in a lane above the
-    stages asked for keeps the pair from being re-stamped, so it is rebuilt
-    and a later call for every lane reads the new entries."""
+    stages asked for keeps the pair from being re-stamped, so it is brought
+    up to date and a later call for every lane reads the new entries."""
     r = init_all(chain_c)
     caches = OperatorCaches(chain_c, r)
     names = chain_c.vertex_names()
     bi, di = names.index("b"), names.index("D")
     e1, e2, e3 = (chain_c.edge_id(*e) for e in (E1, E2, E3))
-    at_b = caches.mid_tidy(bi, 1 << e1, 2)
-    at_d = caches.mid_tidy(di, 1 << e3, 3)
+    at_b = caches.mid_tidy(bi, 1 << e1, 2, 1)
+    at_d = caches.mid_tidy(di, 1 << e3, 3, 1)
     assert r.set_entry(e1, 1 << e3)  # R(S->a) loses a->b, outside both sets
-    assert caches.mid_tidy(bi, 1 << e1, 2) is at_b
+    assert caches.mid_tidy(bi, 1 << e1, 2, 1) is at_b
     assert caches._lanes[bi][2] == r.bits_deleted
     assert r.set_entry(e2, 0)  # R(a->b) loses b->D, inside the set at D
-    assert caches.mid_tidy(di, 1 << e3, 2) is not at_d  # asks for lane S->a only
-    assert lane_tidy(chain_c, r, caches.mid_tidy(di, 1 << e3, 3), 1 << e3, e2) == 0
+    assert caches.mid_tidy(di, 1 << e3, 2, 1) is not at_d  # asks for lane S->a only
+    assert lane_tidy(chain_c, r, caches.mid_tidy(di, 1 << e3, 3, 1), 1 << e3, e2) == 0
+
+
+def test_lane_tables_extend_downwards_and_resume_above_a_change():
+    """A bounded pair covers back only from its depth up; a deeper request
+    walks just the missing stages, and a shrink that misses the walked
+    edges below the changed stage keeps those rows.  On the chain with
+    every edge set full, towards D: back at depth 2 walks b->D alone."""
+    g = mk_graph(3, CHAIN_VERTICES, CHAIN_EDGES, {n: CHAIN_EDGES for n, _ in CHAIN_VERTICES[1:]})
+    r = init_all(g)
+    caches = OperatorCaches(g, r)
+    names = g.vertex_names()
+    ai, bi, di = (names.index(n) for n in ("a", "b", "D"))
+    e1, e2, e3 = (g.edge_id(*e) for e in (E1, E2, E3))
+    fwd, back = tables = caches.mid_tidy(di, g.full_mask, 3, 2)
+    assert caches._lanes[di][3] == 2 and back[ai] == 0  # stage 1 not walked yet
+    assert back[bi] == r.holders[e3] == (1 << e1) | (1 << e2)
+    assert caches.mid_tidy(di, g.full_mask, 3, 1) is tables  # extended in place
+    assert caches._lanes[di][3] == 1 and back[ai] == (1 << e1)  # R(S->a) holds a->b and b->D
+    stamp = caches._lanes[di][2]
+    assert r.set_entry(e2, 0)  # R(a->b) loses b->D: holders[b->D] changes, stage 3
+    resumed = caches.mid_tidy(di, g.full_mask, 3, 2)
+    assert resumed is not tables and resumed[0] is fwd and caches._lanes[di][2] > stamp
+    assert caches._lanes[di][3] == 2 and back[bi] == 1 << e1  # stage 1 left for later
+    assert fwd == _forward_lanes(g, r.holders, g.full_mask, di)
+    caches.mid_tidy(di, g.full_mask, 3, 1)
+    assert back == _backward_lanes(g, r.holders, g.full_mask, di)
 
 
 def test_found_fixpoints_certify_every_superset():
@@ -862,6 +933,66 @@ def test_lane_passes_match_their_definition():
     assert checked > 500
 
 
+def test_lane_passes_resume_and_extend():
+    """After random shrinks of the entries and of ``es``, a forward table
+    resumed at the lowest stage k holding a changed edge equals a fresh one
+    at every vertex, and a backward table kept from the stages at or above
+    the highest such stage, then extended down to a drawn depth, equals a
+    fresh one at every vertex of the stages it covers.  A bounded backward
+    pass covers its depth.  Graphs with an empty middle stage included."""
+    import random
+
+    graphs = [
+        random_graph(seed, stages=3 + seed % 5, max_width=4, eset_p=2.0) for seed in range(30)
+    ]
+    graphs += [gap_graph(seed, stages=5 + seed % 3, gap=1 + seed % 4) for seed in range(12)]
+    resumed = extended = 0
+    for gi, g in enumerate(graphs):
+        rnd = random.Random(8000 + gi)
+        r = init_all(g)
+        vstage = g._vstage
+        for _ in range(6):
+            vi = rnd.randrange(1, len(vstage))
+            stage = vstage[vi]
+            es = g.full_mask if rnd.random() < 0.5 else rnd.randrange(g.full_mask + 1)
+            d0 = rnd.randrange(1, stage + 1)
+            fwd = _forward_lanes(g, r.holders, es, vi)
+            back = _backward_lanes(g, r.holders, es, vi, depth=d0)
+            full = _backward_lanes(g, r.holders, es, vi)
+            assert [b for b, s in zip(back, vstage) if s >= d0] == [
+                b for b, s in zip(full, vstage) if s >= d0
+            ], (gi, vi, d0)
+            before = list(r.holders)
+            for eid, m in enumerate(r.entries):
+                if m and rnd.random() < 0.2:
+                    r.set_entry(eid, m & rnd.randrange(g.full_mask + 1))
+            new_es = es & (rnd.randrange(g.full_mask + 1) | rnd.randrange(g.full_mask + 1))
+            if rnd.random() < 0.3:
+                new_es = es
+            changed = edge_set(
+                f
+                for f in edge_ids(g.span_mask(1, stage))
+                if (es ^ new_es) >> f & 1 or new_es >> f & 1 and before[f] != r.holders[f]
+            )
+            k = g._estage[edge_ids(changed)[0]] if changed else stage
+            top = max(d0, g._estage[edge_ids(changed)[-1]] if changed else 0)
+            assert _forward_lanes(g, r.holders, new_es, vi, fwd, k) is fwd
+            assert fwd == _forward_lanes(g, r.holders, new_es, vi), (gi, vi, k)
+            depth = rnd.randrange(1, stage + 1)
+            got = _backward_lanes(g, r.holders, new_es, vi, depth=depth, back=back, top=top)
+            assert got is back
+            full = _backward_lanes(g, r.holders, new_es, vi)
+            low = min(depth, top)
+            assert [b for b, s in zip(back, vstage) if s >= low] == [
+                b for b, s in zip(full, vstage) if s >= low
+            ], (gi, vi, depth, top)
+            resumed += 1 < k < stage
+            extended += depth < top < stage
+            with pytest.raises(AbnormalTerminationError):
+                _backward_lanes(g, r.holders, new_es, vi, back=back, top=stage + 1)
+    assert resumed > 20 and extended > 10, (resumed, extended)
+
+
 # -- reach map -------------------------------------------------------------
 
 
@@ -873,23 +1004,26 @@ def test_reachmap_bits_deleted_stamps_changes(chain_c):
     assert [chain_c.edge_triple(eid)[2] for eid in range(3)] == [1, 2, 3]
     assert r.bits_deleted == 0
     assert r.stamps == [0, 0, 0, 0]
-    assert r.edge_stamps == [0, 0, 0]
+    assert r.log == [] and r.log_stamps == []
     assert not r.set_entry(0, r.entries[0])
     assert r.bits_deleted == 0
     assert r.stamps == [0, 0, 0, 0]
-    assert r.edge_stamps == [0, 0, 0]
+    assert r.log == [] and r.log_stamps == []
     removed = r.entries[0].bit_count()
     assert r.set_entry(0, 0)
     assert r.bits_deleted == removed == 2
     assert r.stamps == [0, 2, 0, 0]
-    assert r.edge_stamps == [2, 0, 0]
+    assert r.log == [(0b001, 0b110)] and r.log_stamps == [2]
     assert r.set_entry(1, 0)
     assert r.bits_deleted == 3
     assert r.stamps == [0, 2, 3, 0]
-    assert r.edge_stamps == [2, 3, 0]
+    assert r.log == [(0b001, 0b110), (0b010, 0b100)] and r.log_stamps == [2, 3]
     assert not r.set_entry(1, 0)
     assert r.stamps == [0, 2, 3, 0]
-    assert r.edge_stamps == [2, 3, 0]
+    assert r.log_stamps == [2, 3]
+    assert r.removed_since(0) == 0b110 and r.removed_since(2) == 0b100
+    assert r.removed_since(3) == 0
+    assert r.lost_within(0b011, 0, 0b100) == 0b011 and r.lost_within(0b011, 2, 0b010) == 0
     assert r.changed_since(0, 0) == 0 and r.changed_since(1, 0) == 0b001
     assert r.changed_since(1, 2) == 0 and r.changed_since(2, 2) == 0b010
     assert r.changed_since(3, 3) == 0
@@ -916,7 +1050,7 @@ def test_reachmap_is_built_from_holders_alone():
             edge_set(f for f in range(g.edge_count) if holders[f] >> e & 1)
             for e in range(g.edge_count)
         ]
-        assert r.bits_deleted == 0 and not any(r.stamps) and not any(r.edge_stamps)
+        assert r.bits_deleted == 0 and not any(r.stamps) and r.log == r.log_stamps == []
         with pytest.raises(TypeError):
             ReachMap(holders, g._estage)
 
