@@ -21,9 +21,11 @@
   working set, so after a shrink only the members whose reachable sets
   lost a bit inside the old result can fail; ``lanes=`` names them
   (``ReachMap.lost_within`` tells which), and the first sweep tests those
-  alone (semi-naive evaluation, Bancilhon & Ramakrishnan, SIGMOD 1986).  A
-  sweep that deletes nothing from a set already tidy skips the tidy step,
-  and an empty working set is returned at once.
+  alone (semi-naive evaluation, Bancilhon & Ramakrishnan, SIGMOD 1986).
+  Every fixpoint of the step is tidy, so a cold run starts from the tidy of
+  its edge set from the source to the target; the working set is then
+  always tidy, a sweep that deletes nothing skips the tidy step, and an
+  empty working set is returned at once, with no lane pass.
 * ``change`` contracts one reachable set against all the others until stable.
   Its anchors come from lane tables: for a target vertex b and edge set es,
   one forward and one backward pass over ``holders`` with every edge ec as
@@ -42,10 +44,11 @@
   keeps its rows at and above the highest such stage.  The keep-guard
   asks whether comp(T, u) is empty for an anchor set T.  ``comp``'s step
   does not depend on its input set and ends with the source tidy, so
-  every fixpoint inside T lies inside tidy(T, source, u): the guard tidies
-  nothing first, and a nonempty result W found at u that is still a
-  fixpoint lies inside comp(T, u) whenever T holds W (Tarski again), so
-  such a T passes with no ``comp`` lookup (``OperatorCaches.fixpoints``).
+  every fixpoint inside T lies inside tidy(T, source, u): ``comp`` starts
+  from that tidy itself, so the guard tidies nothing first.  A nonempty
+  result W found at u that is still a fixpoint lies inside comp(T, u)
+  whenever T holds W (Tarski again), so such a T passes with no ``comp``
+  lookup (``OperatorCaches.fixpoints``).
 
 Two conventions the operator definitions leave open are pinned here:
 
@@ -377,11 +380,15 @@ def comp(
     ``v``, witnesses no path to ``v`` (members ending at ``v`` are exempt);
     then tidy the working set from the source to ``v``.
 
-    ``start``, if given, is an earlier result of ``comp`` for the same ``es``
-    and ``v`` under reachable sets that have only shrunk since.  The working
-    set then begins there instead of at ``es``: the result is the greatest
-    fixpoint of a monotone, deflationary step, so it lies inside ``start``
-    and iterating from either reaches the same set.
+    The result is the greatest fixpoint inside ``es`` of a monotone,
+    deflationary step, so iterating from any set between it and ``es``
+    reaches it.  Every fixpoint of the step is tidy, so the result lies
+    inside tidy(es, source, v), and the working set begins there: a set
+    whose tidy is empty returns 0 with no lane pass.  ``start``, if given,
+    is where it begins instead: a subset of ``es``, tidy from the source to
+    ``v``, that holds the result, such as that tidy or an earlier result
+    for the same ``es`` and ``v`` under reachable sets that have only
+    shrunk since.
 
     ``lanes``, if given, is a subset of ``start``: the members whose
     reachable sets may have lost a bit inside ``start`` since it was
@@ -395,13 +402,17 @@ def comp(
     holders = r.holders
     eto = g._eto
     in_mask = g._in_mask
-    working = es if start is None else start
-    if working & ~es:
+    if start is None:
+        if lanes is not None:
+            raise AbnormalTerminationError("comp lanes lie outside its start")
+        start = _tidy_idx(g, es, src, vi)  # every fixpoint of the step is tidy
+    elif start & ~es:
         raise AbnormalTerminationError("comp start lies outside its edge set")
+    working = start
     if lanes is None:
         lanes, support = working, -1
     else:
-        if start is None or lanes & ~start:
+        if lanes & ~start:
             raise AbnormalTerminationError("comp lanes lie outside its start")
         support = 0  # the edges whose holders carry a tested lane
         entries = r.entries
@@ -412,7 +423,6 @@ def comp(
             m ^= low
     if not working:
         return 0
-    tidied = start is not None  # a result of comp is already tidy
     bound = es.bit_count() + 1
     sweeps = 0
     while True:
@@ -434,9 +444,8 @@ def comp(
             m ^= heads
             passed |= heads & val[x]
         working &= ~lanes | passed  # untested members stay
-        if working != before or not tidied:  # tidy is idempotent
+        if working != before:  # the working set starts tidy, and tidy is idempotent
             working = _tidy_idx(g, working, src, vi)
-            tidied = True
         if working == before or not working:
             if working & ~es:
                 raise AbnormalTerminationError("comp grew its input edge set")

@@ -112,12 +112,16 @@ def zh_solve(
             # contract each stage edge's reachable set
             for eid in range(stage_end[stage - 1], stage_end[stage]):
                 prev = entries[eid]
+                if not prev:
+                    continue  # change of an empty entry returns it unchanged
                 change(r, eid, g, caches)
                 change_calls += 1
                 if trace is not None and entries[eid] != prev:
                     record_shrink(eid, prev)
             # contract each stage vertex's edge set; shrunken values persist
             for vi in stage_vertices[stage]:
+                if not esets[vi]:
+                    continue  # comp of the empty set is empty
                 new = caches.comp_of(vi)
                 if new != esets[vi]:
                     if trace is not None:

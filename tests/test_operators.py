@@ -839,10 +839,12 @@ def test_found_fixpoints_certify_every_superset():
 
 
 def test_comp_needs_no_source_tidy_first():
-    """The lemma behind ``change``'s keep-guard asking comp(T, u) with no
-    tidy of its own: comp's step ends with the source tidy, so every
-    fixpoint inside T lies inside tidy(T, source, u), and comp(T, u) equals
-    comp(tidy(T, source, u), u)."""
+    """The lemma behind a cold ``comp`` starting from tidy(T, source, u),
+    so that ``change``'s keep-guard tidies nothing first: comp's step ends
+    with the source tidy, so every fixpoint inside T lies inside
+    tidy(T, source, u), and comp(T, u) equals comp(tidy(T, source, u), u).
+    ``comp`` does that tidy itself, so both sides are also checked against
+    ``reference.comp_ref``, which starts from T."""
     import random
 
     graphs = [random_graph(seed, stages=3 + seed % 4, eset_p=2.0) for seed in range(30)]
@@ -850,6 +852,7 @@ def test_comp_needs_no_source_tidy_first():
     checked = kept = untidy = 0
     for gi, g in enumerate(graphs):
         rnd = random.Random(7000 + gi)
+        rg = ref.RefGraph(g)
         r = init_all(g)
         source, *targets = g.vertex_names()
         for _ in range(12):
@@ -860,6 +863,11 @@ def test_comp_needs_no_source_tidy_first():
             tidied = tidy(t, source, name, g)
             got = comp(t, name, r, g)
             assert got == comp(tidied, name, r, g), (gi, name, edge_ids(t))
+            reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
+            want = ref.comp_ref(rg, triples_of(g, t), name, reach)
+            assert triples_of(g, got) == want == ref.comp_ref(
+                rg, triples_of(g, tidied), name, reach
+            ), (gi, name, edge_ids(t))
             checked += 1
             kept += bool(got)
             untidy += bool(got) and tidied != t
@@ -868,6 +876,49 @@ def test_comp_needs_no_source_tidy_first():
                 eid = rnd.choice(held)
                 r.set_entry(eid, r.entries[eid] & ~(1 << rnd.choice(edge_ids(r.entries[eid]))))
     assert checked > 300 and kept > 50 and untidy > 20, (checked, kept, untidy)
+
+
+def test_cold_comp_tests_only_members_of_the_source_tidy(monkeypatch):
+    """A cold ``comp`` starts from tidy(es, source, v): no lane pass seeds a
+    member outside it, and a set whose tidy is empty makes no lane pass at
+    all.  ``reference.comp_ref``, which starts from es, agrees on both."""
+    import random
+
+    from msplab import operators
+
+    seeds = []
+    real_backward = operators._backward_lanes
+
+    def spy(g, holders, es, vi, seed=-1, *args, **kwargs):
+        seeds.append(seed)
+        return real_backward(g, holders, es, vi, seed, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "_backward_lanes", spy)
+    graphs = [random_graph(seed, stages=3 + seed % 4, eset_p=2.0) for seed in range(25)]
+    graphs += [reduce_hc_to_msp(gen_ugraph(5, 0.6, seed))[0] for seed in range(3)]
+    empty = untidy = 0
+    for gi, g in enumerate(graphs):
+        rnd = random.Random(9000 + gi)
+        rg = ref.RefGraph(g)
+        r = init_all(g)
+        reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
+        source, *targets = g.vertex_names()
+        for name in targets:
+            for _ in range(3):
+                es = rnd.randrange(g.full_mask + 1) | rnd.randrange(g.full_mask + 1)
+                tidied = tidy(es, source, name, g)
+                seeds.clear()
+                got = comp(es, name, r, g)
+                want = ref.comp_ref(rg, triples_of(g, es), name, reach)
+                assert triples_of(g, got) == want, (gi, name, edge_ids(es))
+                assert all(seed & ~tidied == 0 for seed in seeds), (gi, name, edge_ids(es))
+                if not tidied:
+                    assert seeds == [] and got == 0, (gi, name, edge_ids(es))
+                    empty += 1
+                else:
+                    assert seeds, (gi, name, edge_ids(es))
+                    untidy += tidied != es
+    assert empty > 100 and untidy > 100, (empty, untidy)
 
 
 # -- lane passes -----------------------------------------------------------

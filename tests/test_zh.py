@@ -254,3 +254,32 @@ def test_metrics_count_warm_started_comp_runs():
     # keep-guards of change answered by a fixpoint found earlier, with no
     # comp lookup
     assert 0 < calls["guard_certified"]
+
+
+def test_change_runs_only_on_nonempty_entries(monkeypatch):
+    """``zh_solve`` skips ``change`` on an empty entry, which ``change``
+    would return unchanged, and ``operator_calls["change"]`` counts the calls
+    it makes, on reductions of order 4-7 and on campaign instances."""
+    from msplab import zh
+    from msplab.lab import CampaignConfig, gen_msp, shape_for_seed
+
+    calls = []
+    real_change = zh.change
+
+    def spy(r, eid, g, caches=None):
+        assert r.entries[eid], eid
+        calls.append(eid)
+        return real_change(r, eid, g, caches)
+
+    monkeypatch.setattr(zh, "change", spy)
+    config = CampaignConfig()
+    graphs = [reduce_hc_to_msp(gen_ugraph(n, 0.5, seed))[0] for n in range(4, 8) for seed in (0, 1)]
+    graphs += [gen_msp(shape_for_seed(config, seed)) for seed in range(300)]
+    skipped = 0
+    for g in graphs:
+        calls.clear()
+        metrics = zh_solve(g).metrics
+        assert metrics.operator_calls["change"] == len(calls)
+        # without the skip, every sweep calls change on each edge of stages < L
+        skipped += metrics.outer_sweeps * g._stage_end[g.stage_count - 1] - len(calls)
+    assert skipped > 1000, skipped
