@@ -217,11 +217,12 @@ def _cmd_minimize(args) -> int:
     except ValueError as exc:
         raise _CliFailure(EXIT_FORMAT, f"bad search budget: {exc}") from exc
     g = _load_instance(args.instance)
-    if not predicate(g):
+    try:
+        small = minimize(g, predicate, budget=args.budget)
+    except ValueError as exc:  # the predicate fails on the input
         raise _CliFailure(
             EXIT_INVALID, "instance is not a candidate counterexample (need solver YES, search NO)"
-        )
-    small = minimize(g, predicate, budget=args.budget)
+        ) from exc
     _write_text(args.output, serialize_instance(small))
     return EXIT_OK
 

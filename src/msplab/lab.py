@@ -5,8 +5,8 @@ generator), so instances are a pure function of (shape, seed), shardable
 across workers, and byte-identical across platforms.  A campaign streams
 seeds through the staged solver and the exact oracle, classifies every pair
 of verdicts, archives every disagreement together with both outputs, and
-greedily minimizes candidate counterexamples under a per-stage in-degree
-order.
+greedily minimizes candidate counterexamples, applying the first move that
+keeps the finding.
 
 A candidate counterexample (solver YES, exhaustive search NO) is a result to
 report, never a crash; a necessity violation (solver NO, search YES) is an
@@ -21,7 +21,7 @@ import re
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial, reduce
-from itertools import combinations, islice
+from itertools import combinations
 from multiprocessing import Pool
 from operator import mul, or_
 from pathlib import Path
@@ -201,82 +201,76 @@ def vec_metric(g: MultistageGraph) -> tuple[int, ...]:
 # -- minimization -------------------------------------------------------------
 
 
-def _graph_sort_key(g: MultistageGraph):
-    vertices, edges, esets = g.document_data()
-    return (
-        vec_metric(g),
-        g.edge_count,
-        g.vertex_count(),
-        tuple(edges),
-        tuple(sorted((v, tuple(ts)) for v, ts in esets.items())),
-    )
-
-
 def _candidates(g: MultistageGraph):
-    """Every graph one of ``minimize``'s moves away from ``g``, the moves
-    taken in the order ``minimize`` lists them."""
+    """Every move of ``minimize`` on ``g``, in the order ``minimize`` lists
+    them; a move is a function of no arguments that builds its graph."""
     vertices, edges, esets = g.document_data()
+    build = partial(MultistageGraph, g.stage_count)
 
-    def variant(vertices, edges, esets):
-        return MultistageGraph(g.stage_count, vertices, edges, esets)
+    def drop(names, gone=()):
+        gone = {*gone, *(e for e in edges if e[0] in names or e[1] in names)}
+        return build(
+            [(n, s) for n, s in vertices if n not in names],
+            [e for e in edges if e not in gone],
+            {v: [e for e in ts if e not in gone] for v, ts in esets.items() if v not in names},
+        )
+
+    def drop_member(name, t):
+        return build(vertices, edges, {**esets, name: [e for e in esets[name] if e != t]})
+
+    def merge(keep, other):
+        def rename(e):
+            return (keep if e[0] == other else e[0], keep if e[1] == other else e[1], e[2])
+
+        return build(
+            [(n, s) for n, s in vertices if n != other],
+            sorted({rename(e) for e in edges}),
+            {v: sorted({rename(e) for e in ts}) for v, ts in esets.items() if v != other},
+        )
 
     for t in edges:
-        yield variant(
-            vertices,
-            [e for e in edges if e != t],
-            {v: [e for e in ts if e != t] for v, ts in esets.items()},
-        )
+        yield partial(drop, (), {t})
     for name, _ in vertices:
         if name not in (g.source_name(), g.sink_name()):
-            gone = {e for e in edges if name in (e[0], e[1])}
-            yield variant(
-                [(n, s) for n, s in vertices if n != name],
-                [e for e in edges if e not in gone],
-                {v: [e for e in ts if e not in gone] for v, ts in esets.items() if v != name},
-            )
+            yield partial(drop, (name,))
     for name, members in esets.items():
         for t in members:
-            yield variant(vertices, edges, {**esets, name: [e for e in members if e != t]})
+            yield partial(drop_member, name, t)
     for stage in range(1, g.stage_count):
         row = [name for name in g.stage_vertex_names(stage) if g.has_eset(name)]
-        for keep, drop in combinations(row, 2):
-            if g.eset(keep) != g.eset(drop):
-                continue
-
-            def rename(e):
-                return (keep if e[0] == drop else e[0], keep if e[1] == drop else e[1], e[2])
-
-            yield variant(
-                [(n, s) for n, s in vertices if n != drop],
-                sorted({rename(e) for e in edges}),
-                {v: sorted({rename(e) for e in ts}) for v, ts in esets.items() if v != drop},
-            )
+        for keep, other in combinations(row, 2):
+            if g.eset(keep) == g.eset(other):
+                yield partial(merge, keep, other)
 
 
 def minimize(g: MultistageGraph, predicate, budget: int = 500) -> MultistageGraph:
     """Greedy shrink of ``g`` under moves that keep ``predicate`` true.
 
-    Moves: drop an edge, drop an internal vertex with its incident edges,
-    drop one member from one edge set, merge same-stage vertices with equal
-    edge sets.  Each round evaluates the predicate on every single-move
-    variant (up to ``budget`` evaluations overall) and applies the accepted
-    variant with the lexicographically least in-degree vector.  The result
-    still satisfies the predicate and is locally minimal under the move set
-    unless the budget ran out first.
+    Moves, in this order: drop an edge, drop an internal vertex with its
+    incident edges, drop one member from one edge set, merge same-stage
+    vertices with equal edge sets.  The first move that keeps the predicate
+    is applied, and the next try is the move at the same position in the
+    new graph's list, wrapping to the front at its end (ddmin's
+    first-accepted rule, one move at a time).  The predicate runs at
+    most ``budget`` times, the input's check included.  The result still
+    satisfies the predicate and is locally minimal under the move set unless
+    the budget ran out first: the run ends when a full pass accepts nothing.
     """
     if not predicate(g):
         raise ValueError("predicate does not hold on the input")
-    evals = 1
-    while evals < budget:
-        accepted = []
-        for candidate in islice(_candidates(g), budget - evals):
+    evals, pos = 1, 0
+    while True:
+        moves = list(enumerate(_candidates(g)))
+        for pos, move in moves[pos:] + moves[:pos]:
+            if evals >= budget:
+                return g
             evals += 1
+            candidate = move()
             if predicate(candidate):
-                accepted.append(candidate)
-        if not accepted:
-            break
-        g = min(accepted, key=_graph_sort_key)
-    return g
+                g = candidate
+                break
+        else:
+            return g
 
 
 # -- campaigns ----------------------------------------------------------------

@@ -19,6 +19,7 @@ from msplab.cli import (
 )
 from msplab.formats import parse_instance, parse_ugraph
 from msplab.model import AbnormalTerminationError
+from msplab.zh import zh_solve
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -369,6 +370,21 @@ def test_minimize_rejects_non_counterexample(capsys):
     status, _, err = run_cli(capsys, "minimize", str(FIXTURES / "chain_c.msp"))
     assert status == EXIT_INVALID
     assert "not a candidate counterexample" in err
+
+
+def test_minimize_checks_its_input_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(g, **kwargs):
+        calls.append(g)
+        return zh_solve(g, **kwargs)
+
+    monkeypatch.setattr(lab, "zh_solve", counting)
+    argv = ["minimize", "--budget", "1", str(FIXTURES / "j5_a0_sink81.msp")]
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == EXIT_OK
+    assert len(calls) == 1
+    assert parse_instance(out) == calls[0]  # the budget allows no move
 
 
 def test_minimize_abnormal_termination_exits_internal(capsys, monkeypatch):

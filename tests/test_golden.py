@@ -33,8 +33,8 @@ updates ``CAMPAIGN_DIGEST`` and says so in CHANGES.md.
 ``MINIMIZED_DIGEST`` pins the minimizer the same way, on 20 seeds with
 empty edge sets and a solver stubbed to say YES only on graphs of at least
 four edges.  Minimization then stops at graphs of four edges or more, and
-which ones it keeps depends on the minimizer's move order, its sort key and
-its budget.
+which ones it keeps depends on the minimizer's move order, the position it
+resumes from after each accepted move, and its budget.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ from msplab.zh import ZhMetrics, ZhResult, zh_solve
 
 DIGEST = "637e334a870883a2a7d943f0daf979ebf6c1f7daca4fe047a3a4c06b5e1d16af"
 GEN_DIGEST = "512cc01d166180f49e1a3d8906681de3c48ab871caf80249ba81a61bc02d347f"
-CAMPAIGN_DIGEST = "52264423b199f33d2b338f2f073d7b016f0173e9f8450c750550769f2e8e15a5"
-MINIMIZED_DIGEST = "7742ef5323ea3d1297087c3edfac9ed058d050ded00fa37259cce0a0a964eabb"
+CAMPAIGN_DIGEST = "3a83513aa6c6ca82fa28bba835fe70f77feb9cdb7cdf818a5738d8ed015c0d42"
+MINIMIZED_DIGEST = "f7d8f00931b8b108a7372bebfbc9bb0d3cc692685d4535cff527041509b8e539"
 
 
 def corpus():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from msplab.reduction import UndirectedGraph, reduce_hc_to_msp
 from msplab.zh import zh_solve
 
 from .conftest import CHAIN_EDGES, CHAIN_VERTICES, mk_graph
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def small_shape(seed, eset_density=0.5):
@@ -240,6 +243,17 @@ def test_classify_table(zh, orc, kind):
     assert classify(zh, orc) == kind
 
 
+def test_j5_finding_is_a_candidate_counterexample():
+    """The pinned J5 finding (its recipe is in the fixture's header): the
+    solver says YES on an instance with no simple path."""
+    g = parse_instance((FIXTURES / "j5_a0_sink81.msp").read_text())
+    assert (g.vertex_count(), g.edge_count) == (67, 81)
+    zh_answer = zh_solve(g).answer
+    oracle_answer = oracle_simple_path(g).answer
+    assert (zh_answer, oracle_answer) == ("YES", "NO")
+    assert classify(zh_answer, oracle_answer) == CANDIDATE_COUNTEREXAMPLE
+
+
 # -- complexity vector ---------------------------------------------------------
 
 
@@ -267,11 +281,12 @@ def test_vec_of_reduced_triangle_stable():
 # -- minimizer -----------------------------------------------------------------
 
 
-def _fan_graph():
-    """Five parallel lanes into two collectors: ten stage-2 edges."""
-    vertices = [("S", 0)] + [(f"u{i}", 1) for i in range(5)] + [("w0", 2), ("w1", 2), ("D", 3)]
-    edges = [("S", f"u{i}", 1) for i in range(5)]
-    edges += [(f"u{i}", w, 2) for i in range(5) for w in ("w0", "w1")]
+def _fan_graph(lanes=5):
+    """``lanes`` parallel lanes into two collectors: 2 * ``lanes`` stage-2 edges."""
+    vertices = [("S", 0)] + [(f"u{i}", 1) for i in range(lanes)]
+    vertices += [("w0", 2), ("w1", 2), ("D", 3)]
+    edges = [("S", f"u{i}", 1) for i in range(lanes)]
+    edges += [(f"u{i}", w, 2) for i in range(lanes) for w in ("w0", "w1")]
     edges += [("w0", "D", 3), ("w1", "D", 3)]
     esets = {name: [] for name, stage in vertices if stage > 0}
     return mk_graph(3, vertices, edges, esets)
@@ -282,14 +297,14 @@ def _two_stage2_edges(g):
 
 
 def test_minimizer_on_synthetic_predicate():
-    g = _fan_graph()
-    small = minimize(g, _two_stage2_edges, budget=4000)
-    assert _two_stage2_edges(small)
-    assert validate(small).ok
-    assert small.span_mask(2, 2).bit_count() == 2
-    # locally minimal: every single move now breaks the predicate or validity
-    for candidate in lab._candidates(small):
-        assert not _two_stage2_edges(candidate)
+    for lanes, budget in ((5, 4000), (30, 200)):
+        small = minimize(_fan_graph(lanes), _two_stage2_edges, budget=budget)
+        assert _two_stage2_edges(small)
+        assert validate(small).ok
+        assert small.span_mask(2, 2).bit_count() == 2
+        # locally minimal: every single move now breaks the predicate or validity
+        for move in lab._candidates(small):
+            assert not _two_stage2_edges(move())
 
 
 def test_minimizer_fixpoint_returns_input():
@@ -327,9 +342,9 @@ def test_merge_move_unifies_equal_eset_siblings():
     edges = [("S", "x", 1), ("S", "y", 1), ("x", "D", 2), ("y", "D", 2)]
     esets = {"x": [], "y": [], "D": edges}
     g = mk_graph(2, vertices, edges, esets)
-    candidates = list(lab._candidates(g))
-    assert len(candidates) == 4 + 2 + 4 + 1  # edges, inner vertices, D's members, a merge
-    merged = candidates[-1]  # merges come last
+    moves = list(lab._candidates(g))
+    assert len(moves) == 4 + 2 + 4 + 1  # edges, inner vertices, D's members, a merge
+    merged = moves[-1]()  # merges come last
     assert validate(merged).ok
     assert merged.vertex_count() == 3
     assert merged.edge_count == 2  # redirected duplicates collapse
