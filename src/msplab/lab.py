@@ -2,11 +2,13 @@
 
 The generator is a seeded, counter-based sampler (keyed streams of a Philox
 generator), so instances are a pure function of (shape, seed), shardable
-across workers, and byte-identical across platforms.  A campaign streams
-seeds through the staged solver and the exact oracle, classifies every pair
-of verdicts, archives every disagreement together with both outputs, and
-greedily minimizes candidate counterexamples, applying the first move that
-keeps the finding.
+across workers, and byte-identical across platforms.  Each thread re-keys one
+Philox generator per stream rather than building a new one, and every seed
+whose draw leaves no source-to-sink path gets the same shared bare graph for
+its stage count.  A campaign streams seeds through the staged solver and the
+exact oracle, classifies every pair of verdicts, archives every disagreement
+together with both outputs, and greedily minimizes candidate
+counterexamples, applying the first move that keeps the finding.
 
 A candidate counterexample (solver YES, exhaustive search NO) is a result to
 report, never a crash; a necessity violation (solver NO, search YES) is an
@@ -18,9 +20,10 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations
 from multiprocessing import Pool
 from operator import mul, or_
@@ -56,9 +59,30 @@ _STREAM_SHAPE = 4
 MAX_DRAW_CELLS = 1 << 22
 
 
+_per_thread = threading.local()
+
+
 def _stream(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """A generator that draws exactly what a fresh
+    ``Philox(key=[seed mod 2**64, stream])`` would.
+
+    Philox is counter-based, so a stream is its key and counter: each thread
+    builds one generator, on its first call, and every call re-keys it with
+    a zero counter and an empty buffer.  The generator returned is valid
+    only until the next ``_stream`` call on the same thread.
+    """
+    rng = getattr(_per_thread, "rng", None)
+    if rng is None:
+        rng = _per_thread.rng = np.random.Generator(np.random.Philox(key=0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed & _MASK64, stream)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 # -- generation --------------------------------------------------------------
@@ -96,15 +120,24 @@ class GenShape:
         _check_draw(self.widths)
 
 
+@lru_cache(maxsize=64)
+def _bare_graph(stages: int) -> MultistageGraph:
+    """Source and sink with no edge: one shared, immutable graph per stage
+    count (bounded, since a bare graph holds O(stages) tuples)."""
+    return MultistageGraph(stages, [("S", 0), ("D", stages)], [], {"D": ()})
+
+
 def gen_msp(shape: GenShape) -> MultistageGraph:
     """Stage-layered random instance; identical shape+seed gives identical bytes.
 
     The edge stream draws one double per candidate edge in (stage, source
     index, target index) order and keeps those below the edge density.  The
-    graph is repaired to the vertices and edges on source-to-sink paths.
-    Only if an edge is left is the edge-set stream created: one row per
-    non-source vertex in id order (by stage, then name), one double per edge
-    id, a member wherever the double is below the eset density.
+    graph is repaired to the vertices and edges on source-to-sink paths; if
+    none is left, the result is the bare source/sink graph, one shared
+    object per stage count.  Only if an edge is left is the edge-set stream
+    created: one row per non-source vertex in id order (by stage, then
+    name), one double per edge id, a member wherever the double is below the
+    eset density.
     """
     shape.check()
     stages, widths = shape.stages, shape.widths
@@ -120,7 +153,7 @@ def gen_msp(shape: GenShape) -> MultistageGraph:
         bits >>= widths[k - 1] * w
         reach = reduce(or_, row)
         if not reach:
-            return MultistageGraph(stages, [("S", 0), ("D", stages)], [], {"D": ()})
+            return _bare_graph(stages)
         rows.append(row)
 
     # backward from the sink: keep the edges into vertices that reach it
@@ -236,10 +269,13 @@ def _candidates(g: MultistageGraph):
     for name, members in esets.items():
         for t in members:
             yield partial(drop_member, name, t)
+    preds: dict[str, set[str]] = {}
+    for src, dst, _ in edges:
+        preds.setdefault(dst, set()).add(src)
     for stage in range(1, g.stage_count):
         row = [name for name in g.stage_vertex_names(stage) if g.has_eset(name)]
         for keep, other in combinations(row, 2):
-            if g.eset(keep) == g.eset(other):
+            if g.eset(keep) == g.eset(other) and preds.get(keep, set()) & preds.get(other, set()):
                 yield partial(merge, keep, other)
 
 
@@ -248,13 +284,16 @@ def minimize(g: MultistageGraph, predicate, budget: int = 500) -> MultistageGrap
 
     Moves, in this order: drop an edge, drop an internal vertex with its
     incident edges, drop one member from one edge set, merge same-stage
-    vertices with equal edge sets.  The first move that keeps the predicate
-    is applied, and the next try is the move at the same position in the
-    new graph's list, wrapping to the front at its end (ddmin's
-    first-accepted rule, one move at a time).  The predicate runs at
-    most ``budget`` times, the input's check included.  The result still
-    satisfies the predicate and is locally minimal under the move set unless
-    the budget ran out first: the run ends when a full pass accepts nothing.
+    vertices with equal edge sets and a common in-neighbour.  A merge
+    changes its stage's ``vec_metric`` component by 1 - |common
+    in-neighbours| and can only lower later ones, so no merge raises the
+    vector.  The first move that keeps the predicate is applied, and the
+    next try is the move at the same position in the new graph's list,
+    wrapping to the front at its end (ddmin's first-accepted rule, one move
+    at a time).  The predicate runs at most ``budget`` times, the input's
+    check included.  The result still satisfies the predicate and is locally
+    minimal under the move set unless the budget ran out first: the run ends
+    when a full pass accepts nothing.
     """
     if not predicate(g):
         raise ValueError("predicate does not hold on the input")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msplab import lab
-from msplab.formats import MAX_COUNT, parse_instance, serialize_instance
+from msplab.formats import MAX_COUNT, parse_instance, parse_ugraph, serialize_instance
 from msplab.lab import (
     AGREE_NO,
     AGREE_YES,
@@ -29,7 +31,7 @@ from msplab.lab import (
     vec_metric,
 )
 from msplab.model import MultistageGraph, validate
-from msplab.oracle import SearchBudget, oracle_simple_path
+from msplab.oracle import SearchBudget, oracle_hamilton, oracle_simple_path
 from msplab.reduction import UndirectedGraph, reduce_hc_to_msp
 from msplab.zh import zh_solve
 
@@ -86,6 +88,16 @@ def test_density_one_makes_any_route_simple():
         assert zh_solve(g).answer == expects
 
 
+MASK64 = (1 << 64) - 1
+
+
+def fresh_stream(seed: int, stream: int) -> np.random.Generator:
+    """A newly built Philox generator keyed [seed mod 2**64, stream]: what
+    ``lab._stream`` must draw like, built without it."""
+    key = np.array([seed & MASK64, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def set_based_gen_msp(shape: GenShape) -> MultistageGraph:
     """The generator written over name sets and candidate triples, kept as
     the oracle that the mask-based ``gen_msp`` must match byte for byte."""
@@ -105,7 +117,7 @@ def set_based_gen_msp(shape: GenShape) -> MultistageGraph:
         for src in names[stage - 1]:
             for dst in names[stage]:
                 candidates.append((src, dst, stage))
-    coins = lab._stream(shape.seed, lab._STREAM_EDGES).random(len(candidates))
+    coins = fresh_stream(shape.seed, lab._STREAM_EDGES).random(len(candidates))
     sampled = [t for t, c in zip(candidates, coins) if c < shape.edge_density]
 
     fwd = {"S"}
@@ -130,7 +142,7 @@ def set_based_gen_msp(shape: GenShape) -> MultistageGraph:
         for name in skeleton.stage_vertex_names(stage)
     ]
     m = skeleton.edge_count
-    coins = lab._stream(shape.seed, lab._STREAM_ESETS).random((len(nonsource), m))
+    coins = fresh_stream(shape.seed, lab._STREAM_ESETS).random((len(nonsource), m))
     esets = {}
     for i, name in enumerate(nonsource):
         packed = np.packbits((coins[i] < shape.eset_density).astype(np.uint8), bitorder="little")
@@ -165,6 +177,86 @@ def test_shape_widths_are_plain_ints(seed):
     shape = shape_for_seed(CampaignConfig(), seed)
     assert all(type(w) is int for w in shape.widths)
     assert type(shape.stages) is int
+
+
+def test_stream_draws_like_a_fresh_philox():
+    """``_stream`` re-keys one generator per thread; every stream still draws
+    what a newly built Philox with the same key draws, also right after an
+    earlier stream was left with a buffered 32-bit half or mid-buffer."""
+
+    def leave_scalar_integer():
+        lab._stream(11, 3).integers(0, 10)  # keeps the other 32-bit half
+
+    def leave_odd_random():
+        lab._stream(12, 2).random(3)  # stops mid-way through a 4-word block
+
+    for leave in (lambda: None, leave_scalar_integer, leave_odd_random):
+        for seed in (0, 1, 2**63, 2**64 + 5, -1):
+            for stream in range(1, 5):
+                leave()
+                rng, want = lab._stream(seed, stream), fresh_stream(seed, stream)
+                assert int(rng.integers(0, 7)) == int(want.integers(0, 7))
+                assert np.array_equal(rng.integers(1, 1000, size=5), want.integers(1, 1000, size=5))
+                assert np.array_equal(rng.random(4), want.random(4))
+                leave()
+                got = lab._stream(seed, stream).random(9)
+                assert np.array_equal(got, fresh_stream(seed, stream).random(9))
+
+
+def test_threads_generate_what_a_serial_run_does():
+    """Each thread keeps its own generator: two threads running ``gen_msp``
+    at once, switching as often as the interpreter allows, give the serial
+    run's instances."""
+    config = CampaignConfig()
+    seed_ranges = (range(200), range(200, 400))
+    serial = [[gen_msp(shape_for_seed(config, s)) for s in seeds] for seeds in seed_ranges]
+    results: list[list[MultistageGraph]] = [[], []]
+    start = threading.Barrier(2, timeout=60)
+
+    def run(i):
+        start.wait()
+        results[i] = [gen_msp(shape_for_seed(config, s)) for s in seed_ranges[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
+
+
+def test_campaign_builds_at_most_one_philox(monkeypatch):
+    """A serial campaign re-keys one generator rather than building a Philox
+    per stream (2-3 streams per seed)."""
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    report = run_differential(CampaignConfig(instances=300))
+    assert report.totals[BUG_NECESSITY] == 0
+    assert len(built) <= 1
+
+
+def test_no_path_draws_share_one_bare_graph():
+    """Every seed whose draw leaves no path gets the one bare graph of its
+    stage count."""
+    graphs = [gen_msp(shape_for_seed(CampaignConfig(), s)) for s in range(60)]
+    bare = [g for g in graphs if not g.edge_count]
+    assert len(bare) > 1
+    for g in bare:
+        stages = g.stage_count
+        assert g is gen_msp(GenShape(stages, (1,) * (stages + 1), 0.0, 0.5, seed=1))
+        assert g == MultistageGraph(stages, [("S", 0), ("D", stages)], [], {"D": ()})
 
 
 def test_unsatisfiable_shape_rejected():
@@ -241,6 +333,22 @@ def test_gen_ugraph_extremes_and_determinism():
 )
 def test_classify_table(zh, orc, kind):
     assert classify(zh, orc) == kind
+
+
+def test_j5_reduction_holds_the_pinned_finding():
+    """Flower snark J5 as numbered in ``j5_a0_sink81.msp``'s header: cubic,
+    non-Hamiltonian, and its pivot-1 reduction contains every vertex and
+    edge of the pinned finding."""
+    ug = parse_ugraph((FIXTURES / "j5.graph").read_text())
+    assert ug.n == 20 and len(ug.edges) == 30
+    assert all(len(nbrs) == 3 for nbrs in ug.adjacency().values())
+    assert oracle_hamilton(ug).answer == "NO"
+    big, _ = reduce_hc_to_msp(ug, pivot=1)
+    assert (big.vertex_count(), big.edge_count) == (363, 978)
+    finding = parse_instance((FIXTURES / "j5_a0_sink81.msp").read_text())
+    assert set(finding.vertex_names()) <= set(big.vertex_names())
+    triples = {big.edge_triple(i) for i in range(big.edge_count)}
+    assert {finding.edge_triple(i) for i in range(finding.edge_count)} <= triples
 
 
 def test_j5_finding_is_a_candidate_counterexample():
@@ -348,6 +456,24 @@ def test_merge_move_unifies_equal_eset_siblings():
     assert validate(merged).ok
     assert merged.vertex_count() == 3
     assert merged.edge_count == 2  # redirected duplicates collapse
+
+
+def test_no_move_raises_vec():
+    """x and y have equal (empty) edge sets but no common in-neighbour, so
+    merging them would raise stage 2's component from 0 to 1; no such merge
+    is a move."""
+    vertices = [("S", 0), ("a", 1), ("b", 1), ("x", 2), ("y", 2), ("D", 3)]
+    edges = [("S", "a", 1), ("S", "b", 1), ("a", "x", 2), ("b", "y", 2)]
+    edges += [("x", "D", 3), ("y", "D", 3)]
+    esets = {"a": [("S", "a", 1)], "b": [("S", "b", 1)], "x": [], "y": [], "D": []}
+    g = mk_graph(3, vertices, edges, esets)
+    assert vec_metric(g) == (0, 0, 0)
+    moves = list(lab._candidates(g))
+    assert len(moves) == 6 + 4 + 2  # edges, inner vertices, members: no merge
+    for move in moves:
+        candidate = move()
+        if validate(candidate).ok:
+            assert vec_metric(candidate) <= vec_metric(g)
 
 
 # -- campaigns ------------------------------------------------------------------
