@@ -5,7 +5,9 @@ generator), so instances are a pure function of (shape, seed), shardable
 across workers, and byte-identical across platforms.  Each thread re-keys one
 Philox generator per stream rather than building a new one, and every seed
 whose draw leaves no source-to-sink path gets the same shared bare graph for
-its stage count.  A campaign streams seeds through the staged solver and the
+its stage count.  Any other seed's repaired graph is emitted in id order and
+built once from those tables, with no constructor sort and no edge-set
+copy.  A campaign streams seeds through the staged solver and the
 exact oracle, classifies every pair of verdicts, archives every disagreement
 together with both outputs, and greedily minimizes candidate
 counterexamples, applying the first move that keeps the finding.
@@ -127,6 +129,14 @@ def _bare_graph(stages: int) -> MultistageGraph:
     return MultistageGraph(stages, [("S", 0), ("D", stages)], [], {"D": ()})
 
 
+@lru_cache(maxsize=64)
+def _name_order(width: int) -> tuple[int, ...]:
+    """Indices of a stage of ``width`` vertices in the order of their names
+    ``v{k}_{a}``: index order up to width 10, then ``10`` sorts before
+    ``2`` (bounded like ``_bare_graph``)."""
+    return tuple(sorted(range(width), key=str))
+
+
 def gen_msp(shape: GenShape) -> MultistageGraph:
     """Stage-layered random instance; identical shape+seed gives identical bytes.
 
@@ -137,7 +147,9 @@ def gen_msp(shape: GenShape) -> MultistageGraph:
     object per stage count.  Only if an edge is left is the edge-set stream
     created: one row per non-source vertex in id order (by stage, then
     name), one double per edge id, a member wherever the double is below the
-    eset density.
+    eset density.  The repaired graph is emitted in id order, vertices by
+    (stage, name) and edges by (stage, source name, target name), and built
+    once from those tables, with no sort or lookup by name.
     """
     shape.check()
     stages, widths = shape.stages, shape.widths
@@ -156,26 +168,41 @@ def gen_msp(shape: GenShape) -> MultistageGraph:
             return _bare_graph(stages)
         rows.append(row)
 
-    # backward from the sink: keep the edges into vertices that reach it
-    names, vertices, edges = {0: "D"}, [("D", stages)], []
+    # backward from the sink: live[k] masks the stage-k vertices on a path
+    live = [0] * stages + [1]
     for k in range(stages, 0, -1):
-        live, src_names = sum(1 << b for b in names), {}
-        for a, targets in enumerate(rows[k - 1]):
-            targets &= live
-            if targets:
-                src = src_names[a] = f"v{k - 1}_{a}" if k > 1 else "S"
-                vertices.append((src, k - 1))
-                while targets:
-                    low = targets & -targets
-                    edges.append((src, names[low.bit_length() - 1], k))
-                    targets ^= low
-        names = src_names
+        live[k - 1] = sum(1 << a for a, targets in enumerate(rows[k - 1]) if targets & live[k])
 
-    g = MultistageGraph(stages, vertices, edges, {})
-    nonsource, m = g.vertex_names()[1:], g.edge_count
-    draws = _stream(shape.seed, _STREAM_ESETS).random((len(nonsource), m))
+    # vertices in id order: ids[k] lists the live stage-k vertices by name,
+    # as (index in the stage, vertex id, name)
+    ids, n = [((0, 0, "S"),)], 1
+    for k in range(1, stages):
+        order = [a for a in _name_order(widths[k]) if live[k] >> a & 1]
+        ids.append([(a, n + i, f"v{k}_{a}") for i, a in enumerate(order)])
+        n += len(order)
+    ids.append(((0, n, "D"),))
+    n += 1
+    vindex = {name: i for stage_ids in ids for _, i, name in stage_ids}
+    vstage = [k for k, stage_ids in enumerate(ids) for _ in stage_ids]
+
+    triples, efrom, eto = [], [], []
+    for k in range(1, stages + 1):
+        row, heads = rows[k - 1], ids[k]
+        for a, i, src in ids[k - 1]:
+            targets = row[a]
+            for b, j, dst in heads:
+                if targets >> b & 1:
+                    triples.append((src, dst, k))
+                    efrom.append(i)
+                    eto.append(j)
+    eindex = {t: e for e, t in enumerate(triples)}
+
+    m = len(efrom)
+    draws = _stream(shape.seed, _STREAM_ESETS).random((n - 1, m))
     bits = int.from_bytes(np.packbits(draws < shape.eset_density, bitorder="little"), "little")
-    return g.replace_esets({v: bits >> (i * m) & g.full_mask for i, v in enumerate(nonsource)})
+    full = (1 << m) - 1
+    esets = [None] + [bits >> (i * m) & full for i in range(n - 1)]
+    return MultistageGraph._from_tables(stages, vindex, vstage, eindex, efrom, eto, esets)
 
 
 def gen_ugraph(n: int, q: float, seed: int) -> UndirectedGraph:

@@ -14,6 +14,8 @@ share across threads.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -95,82 +97,108 @@ class MultistageGraph:
     ):
         if stage_count < 1:
             raise GraphStructureError(f"stage count must be >= 1, got {stage_count}")
-        self.stage_count = stage_count
 
         vlist = sorted(set(vertices), key=lambda p: (p[1], p[0]))
-        names = [n for n, _ in vlist]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
+        vindex = {n: i for i, (n, _) in enumerate(vlist)}
+        if len(vindex) != len(vlist):
+            counts = Counter(n for n, _ in vlist)
+            dupes = sorted(n for n, c in counts.items() if c > 1)
             raise GraphStructureError(f"duplicate vertex names: {dupes}")
         for name, stage in vlist:
             if not (0 <= stage <= stage_count):
                 raise GraphStructureError(
                     f"vertex {name!r} at stage {stage} outside [0, {stage_count}]"
                 )
-        self._vnames = tuple(names)
-        self._vstage = tuple(s for _, s in vlist)
-        self._vindex = {n: i for i, n in enumerate(names)}
-        stage_vertices: list[list[int]] = [[] for _ in range(stage_count + 1)]
-        for i, (_, s) in enumerate(vlist):
-            stage_vertices[s].append(i)
-        self._stage_vertices = tuple(tuple(vs) for vs in stage_vertices)
 
         elist = sorted(edges, key=lambda t: (t[2], t[0], t[1]))
         seen_pairs: set[tuple[str, str]] = set()
-        efrom, eto, estage = [], [], []
+        efrom, eto = [], []
         for src, dst, stage in elist:
             if (src, dst) in seen_pairs:
                 raise GraphStructureError(f"parallel edge {src!r} -> {dst!r}")
             seen_pairs.add((src, dst))
-            if src not in self._vindex:
+            if src not in vindex:
                 raise GraphStructureError(f"edge references unknown vertex {src!r}")
-            if dst not in self._vindex:
+            if dst not in vindex:
                 raise GraphStructureError(f"edge references unknown vertex {dst!r}")
             if not (1 <= stage <= stage_count):
                 raise GraphStructureError(
                     f"edge {src!r}->{dst!r} stage {stage} outside [1, {stage_count}]"
                 )
-            efrom.append(self._vindex[src])
-            eto.append(self._vindex[dst])
-            estage.append(stage)
+            efrom.append(vindex[src])
+            eto.append(vindex[dst])
+        eindex = {t: i for i, t in enumerate(elist)}
+
+        eset_masks: list[int | None] = [None] * len(vlist)
+        for vname, triples in esets.items():
+            if vname not in vindex:
+                raise GraphStructureError(f"edge set for unknown vertex {vname!r}")
+            mask = 0
+            for t in triples:
+                if t not in eindex:
+                    raise GraphStructureError(
+                        f"edge set of {vname!r} references unknown edge {t!r}"
+                    )
+                mask |= 1 << eindex[t]
+            eset_masks[vindex[vname]] = mask
+        self._fill(stage_count, vindex, [s for _, s in vlist], eindex, efrom, eto, eset_masks)
+
+    @classmethod
+    def _from_tables(
+        cls,
+        stage_count: int,
+        vindex: dict[str, int],
+        vstage: list[int],
+        eindex: dict[EdgeTriple, int],
+        efrom: list[int],
+        eto: list[int],
+        esets: list[EdgeSet | None],
+    ) -> "MultistageGraph":
+        """A graph built from data already in id order, unchecked: what
+        ``__init__`` builds once its checks pass (see ``_fill``)."""
+        g = object.__new__(cls)
+        g._fill(stage_count, vindex, vstage, eindex, efrom, eto, esets)
+        return g
+
+    def _fill(self, stage_count, vindex, vstage, eindex, efrom, eto, esets) -> None:
+        """Set every slot from id-ordered data: ``vindex`` maps the vertex
+        names, in id order (by stage, then name), to their ids, ``vstage``
+        gives each id's stage, ``eindex`` maps the edge triples, in id order
+        (by stage, source name, target name), to their ids, ``efrom`` and
+        ``eto`` give each edge's endpoint ids, and ``esets`` each vertex's
+        edge-set mask (None for none).  The one place the derived tables
+        are computed."""
+        self.stage_count = stage_count
+        self._vnames = tuple(vindex)
+        self._vindex = vindex
+        self._vstage = tuple(vstage)
+        stage_vertices: list[list[int]] = [[] for _ in range(stage_count + 1)]
+        for i, s in enumerate(vstage):
+            stage_vertices[s].append(i)
+        self._stage_vertices = tuple(map(tuple, stage_vertices))
+
+        self._etriples = tuple(eindex)
+        self._eindex = eindex
         self._efrom = tuple(efrom)
         self._eto = tuple(eto)
-        self._estage = tuple(estage)
-        self._etriples = tuple(elist)
-        self._eindex = {t: i for i, t in enumerate(elist)}
-        m = len(elist)
+        self._estage = tuple(t[2] for t in self._etriples)
+        m = len(efrom)
         self.edge_count = m
         self.full_mask = (1 << m) - 1
 
-        out_mask = [0] * len(names)
-        in_mask = [0] * len(names)
-        for i in range(m):
-            out_mask[efrom[i]] |= 1 << i
-            in_mask[eto[i]] |= 1 << i
+        out_mask = [0] * len(vstage)
+        in_mask = [0] * len(vstage)
+        bit = 1
+        for f, t in zip(efrom, eto):
+            out_mask[f] |= bit
+            in_mask[t] |= bit
+            bit <<= 1
         self._out_mask = tuple(out_mask)
         self._in_mask = tuple(in_mask)
 
         # edges are id-sorted by stage, so each stage is a contiguous id range
-        stage_end = [0] * (stage_count + 2)
-        for i in range(m):
-            stage_end[estage[i]] = i + 1
-        for k in range(1, stage_count + 2):
-            stage_end[k] = max(stage_end[k], stage_end[k - 1])
-        self._stage_end = tuple(stage_end)
-
-        eset_masks: list[int | None] = [None] * len(names)
-        for vname, triples in esets.items():
-            if vname not in self._vindex:
-                raise GraphStructureError(f"edge set for unknown vertex {vname!r}")
-            mask = 0
-            for t in triples:
-                if t not in self._eindex:
-                    raise GraphStructureError(
-                        f"edge set of {vname!r} references unknown edge {t!r}"
-                    )
-                mask |= 1 << self._eindex[t]
-            eset_masks[self._vindex[vname]] = mask
-        self._esets = tuple(eset_masks)
+        self._stage_end = tuple([bisect_right(self._estage, k) for k in range(stage_count + 2)])
+        self._esets = tuple(esets)
 
     # -- vertices and edges: names and dense ids ----------------------------
 

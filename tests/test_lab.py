@@ -30,7 +30,7 @@ from msplab.lab import (
     shape_for_seed,
     vec_metric,
 )
-from msplab.model import MultistageGraph, validate
+from msplab.model import MultistageGraph, edge_ids, validate
 from msplab.oracle import SearchBudget, oracle_hamilton, oracle_simple_path
 from msplab.reduction import UndirectedGraph, reduce_hc_to_msp
 from msplab.zh import zh_solve
@@ -172,6 +172,32 @@ def test_gen_msp_matches_the_set_based_generator(shape):
     assert serialize_instance(g) == serialize_instance(want)
 
 
+def assert_same_tables(g: MultistageGraph, want: MultistageGraph) -> None:
+    """Every slot equal, dicts in the same key order too: ``==`` compares
+    only names, stages, triples and edge sets."""
+    for slot in MultistageGraph.__slots__:
+        got, expected = getattr(g, slot), getattr(want, slot)
+        assert type(got) is type(expected) and got == expected, slot
+        if isinstance(got, dict):
+            assert list(got.items()) == list(expected.items()), slot
+
+
+@settings(max_examples=200)
+@given(gen_shapes())
+def test_gen_msp_fills_every_table_as_the_constructor_does(shape):
+    """``gen_msp`` builds its graph from id-ordered tables, not through the
+    constructor; every table matches the constructor's on the same data,
+    also where names such as ``v1_10`` sort before ``v1_2``."""
+    g = gen_msp(shape)
+    assert_same_tables(g, MultistageGraph(g.stage_count, *g.document_data()))
+
+
+def test_default_seeds_fill_every_table_as_the_constructor_does():
+    for seed in range(300):
+        g = gen_msp(shape_for_seed(CampaignConfig(), seed))
+        assert_same_tables(g, MultistageGraph(g.stage_count, *g.document_data()))
+
+
 @given(seeds)
 def test_shape_widths_are_plain_ints(seed):
     shape = shape_for_seed(CampaignConfig(), seed)
@@ -245,6 +271,32 @@ def test_campaign_builds_at_most_one_philox(monkeypatch):
     report = run_differential(CampaignConfig(instances=300))
     assert report.totals[BUG_NECESSITY] == 0
     assert len(built) <= 1
+
+
+def test_campaign_builds_each_instance_once(monkeypatch):
+    """A serial campaign builds each generated instance once, from its
+    id-ordered tables: the constructor runs only for bare graphs, at most
+    once per stage count (the cache may hold them already), and no edge
+    sets are swapped in afterwards."""
+    built, swapped = [], []
+    init, replace_esets = MultistageGraph.__init__, MultistageGraph.replace_esets
+
+    def counting_init(self, stage_count, vertices, edges, esets):
+        edges = list(edges)
+        built.append((stage_count, len(edges)))
+        init(self, stage_count, vertices, edges, esets)
+
+    def counting_replace(self, esets):
+        swapped.append(1)
+        return replace_esets(self, esets)
+
+    monkeypatch.setattr(MultistageGraph, "__init__", counting_init)
+    monkeypatch.setattr(MultistageGraph, "replace_esets", counting_replace)
+    report = run_differential(CampaignConfig(instances=300))
+    assert report.totals[BUG_NECESSITY] == 0
+    assert all(m == 0 for _, m in built)
+    assert len({stages for stages, _ in built}) == len(built)
+    assert not swapped
 
 
 def test_no_path_draws_share_one_bare_graph():
@@ -360,6 +412,25 @@ def test_j5_finding_is_a_candidate_counterexample():
     oracle_answer = oracle_simple_path(g).answer
     assert (zh_answer, oracle_answer) == ("YES", "NO")
     assert classify(zh_answer, oracle_answer) == CANDIDATE_COUNTEREXAMPLE
+
+
+def test_j5_pivot_a0_fails_self_reduction():
+    """The full J5 reduction with pivot a0 (vertex 1): the solver says YES
+    with a final set of 144 edges while the oracle says NO, and cutting the
+    sink's edge set down to any one of its three stage-1 edges gives NO each
+    time, though a correct YES is the OR of those restrictions."""
+    ug = parse_ugraph((FIXTURES / "j5.graph").read_text())
+    g, _ = reduce_hc_to_msp(ug, pivot=1)
+    result = zh_solve(g)
+    assert result.answer == "YES"
+    assert result.final_comp_ed.bit_count() == 144
+    assert oracle_simple_path(g).answer == "NO"
+    stage1, sink = g.span_mask(1, 1), g.sink_name()
+    assert stage1.bit_count() == 3
+    esets = {name: g.eset(name) for name in g.vertex_names() if g.has_eset(name)}
+    for e in edge_ids(stage1):
+        cut = g.replace_esets({**esets, sink: g.eset(sink) & ~(stage1 ^ 1 << e)})
+        assert zh_solve(cut).answer == "NO"
 
 
 # -- complexity vector ---------------------------------------------------------

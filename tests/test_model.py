@@ -97,6 +97,13 @@ def test_duplicate_vertex_names_rejected():
         mk_graph(1, [("S", 0), ("S", 1)], [], {})
 
 
+def test_duplicate_names_listed_once_each_sorted():
+    vertices = [("S", 0), ("D", 4)] + [(n, k) for n in ("y", "x") for k in (1, 2, 3)]
+    with pytest.raises(GraphStructureError) as err:
+        MultistageGraph(4, vertices, [], {})
+    assert str(err.value) == "duplicate vertex names: ['x', 'y']"
+
+
 def test_eset_may_hold_edges_off_any_source_path():
     # dangling edge a->c is accepted inside esets as-is
     dangling = ("a", "c", 2)
