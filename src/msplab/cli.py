@@ -32,7 +32,7 @@ from .lab import (
     run_differential,
 )
 from .model import edge_ids, validate
-from .oracle import SearchBudget, oracle_simple_path
+from .oracle import DEFAULT_MAX_NODES, SearchBudget, oracle_simple_path
 from .zh import AbnormalTerminationError, InvalidGraphError, zh_solve
 
 EXIT_OK = 0
@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact search for a simple path")
     p.add_argument("instance", help="instance file, or - for stdin")
-    p.add_argument("--max-nodes", type=int, default=10_000_000)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
     p.add_argument("--max-seconds", type=float, default=None)
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=_cmd_oracle)
@@ -283,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimize", help="shrink a candidate counterexample")
     p.add_argument("instance", help="instance file, or - for stdin")
     p.add_argument("--budget", type=int, default=500, help="max predicate evaluations")
-    p.add_argument("--oracle-max-nodes", type=int, default=10_000_000)
+    p.add_argument("--oracle-max-nodes", type=int, default=DEFAULT_MAX_NODES)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_minimize)
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .formats import MAX_COUNT, _int_field, parse_instance, serialize_instance
 from .model import MultistageGraph, edge_ids, validate
-from .oracle import TIMEOUT, SearchBudget, oracle_simple_path
+from .oracle import DEFAULT_MAX_NODES, TIMEOUT, SearchBudget, oracle_simple_path
 from .reduction import UndirectedGraph
 from .zh import NO, YES, zh_solve
 
@@ -363,7 +363,7 @@ class CampaignConfig:
     width_max: int = 6
     edge_density: float = 0.5
     eset_densities: tuple[float, ...] = (0.3, 0.5, 0.8)
-    oracle_max_nodes: int = 10_000_000
+    oracle_max_nodes: int = DEFAULT_MAX_NODES
     workers: int = 1
     minimize_budget: int = 120
 
@@ -581,8 +581,10 @@ def run_differential(
     writes, raises ``ValueError``), and the final report is written as both
     a table and line-delimited records.  Parallel and serial runs produce
     identical reports because instances are independent and merged in seed
-    order.
+    order.  A config that fails :meth:`CampaignConfig.check` raises
+    ``ValueError`` before anything is written.
     """
+    config.check()
     started = time.perf_counter()
     out_path = Path(out_dir) if out_dir is not None else None
     config_echo = {

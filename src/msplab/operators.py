@@ -72,7 +72,7 @@ leaves the record exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 from .model import AbnormalTerminationError, EdgeSet, MultistageGraph
 
@@ -240,40 +240,24 @@ class ReachMap:
     ``entries[e]`` is the reachable set of edge e and ``holders[f]`` its
     transpose: the edges whose reachable set contains f.  Built from
     ``holders`` alone (``ReachMap(holders=..., estage=...)``).  Entries only
-    ever shrink after initialization, so ``bits_deleted`` (the bits removed
-    so far) grows on every change, and keeping ``holders`` current costs at
-    most the size of the initial map over a whole run.  ``stamps[k]`` is
-    ``bits_deleted`` after the last change to an entry of stage k
-    (``estage[e]`` is edge e's stage, ``stage_edges[k]`` the edges of stage
-    k), which ``changed_since`` reads.  ``log`` lists every change as
-    ``(1 << e, the bits removed from entry e)`` and ``log_stamps`` the
-    ``bits_deleted`` after each, ascending; ``lost_within`` and
-    ``removed_since`` read them.
+    ever shrink after initialization, so keeping ``holders`` current costs
+    at most the size of the initial map over a whole run.  ``log`` lists
+    every change as ``(1 << e, the bits removed from entry e)``, and its
+    length is the one clock: a reader notes ``len(log)`` as t, and
+    ``log[t:]`` are the changes made since, which ``lost_within`` and
+    ``removed_since`` walk.  ``stamps[k]`` is ``len(log)`` after the last
+    change to an entry of stage k (``estage[e]`` is edge e's stage), which
+    ``changed_since`` reads.
     """
 
-    __slots__ = (
-        "entries",
-        "holders",
-        "bits_deleted",
-        "estage",
-        "stamps",
-        "log",
-        "log_stamps",
-        "stage_edges",
-    )
+    __slots__ = ("entries", "holders", "estage", "stamps", "log")
 
     def __init__(self, *, holders: list[int], estage: tuple[int, ...]):
         self.entries = _transpose(holders)
         self.holders = holders
-        self.bits_deleted = 0
         self.estage = estage
         self.stamps = [0] * (max(estage, default=0) + 1)
         self.log: list[tuple[int, int]] = []
-        self.log_stamps: list[int] = []
-        stage_edges = [0] * len(self.stamps)
-        for eid, k in enumerate(estage):
-            stage_edges[k] |= 1 << eid
-        self.stage_edges = stage_edges
 
     def set_entry(self, eid: int, mask: int) -> bool:
         old = self.entries[eid]
@@ -283,11 +267,10 @@ class ReachMap:
             raise AbnormalTerminationError(f"reachable set of edge {eid} would grow")
         self.entries[eid] = mask
         removed = old & ~mask
-        self.bits_deleted += removed.bit_count()
-        self.stamps[self.estage[eid]] = self.bits_deleted
         ebit = 1 << eid
-        self.log.append((ebit, removed))
-        self.log_stamps.append(self.bits_deleted)
+        log = self.log
+        log.append((ebit, removed))
+        self.stamps[self.estage[eid]] = len(log)
         holders = self.holders
         while removed:
             low = removed & -removed
@@ -295,45 +278,28 @@ class ReachMap:
             removed ^= low
         return True
 
-    def changed_since(self, k: int, t: int) -> int:
-        """The edges of every stage <= ``k`` (``k`` >= 0) with an entry
-        changed since ``bits_deleted`` was ``t``: they hold every such
-        changed edge, and are 0 exactly when no entry of those stages
-        changed.
-
-        It returns that span, not a flag, so that ``OperatorCaches`` can
-        name the members it asks ``lost_within`` about: for a record at v,
-        the span of the stages below stage(v) leaves out the members ending
-        at v, which no test reads."""
-        if t == self.bits_deleted:
-            return 0
-        stamps = self.stamps[: k + 1]
-        if max(stamps) <= t:
-            return 0
-        span = 0
-        stage_edges = self.stage_edges
-        for s, stamp in enumerate(stamps):
-            if stamp > t:
-                span |= stage_edges[s]
-        return span
+    def changed_since(self, k: int, t: int) -> bool:
+        """Whether an entry of a stage <= ``k`` (``k`` >= 0) changed since
+        the log held ``t`` changes."""
+        return t != len(self.log) and max(self.stamps[: k + 1]) > t
 
     def lost_within(self, members: int, t: int, within: int) -> int:
         """The edges of ``members`` whose entry lost a bit of ``within``
-        since ``bits_deleted`` was ``t``.  It walks the changes made since
-        then, not the members, so it costs little for a recent ``t``."""
+        since the log held ``t`` changes.  It walks those changes, not the
+        members, so it costs little for a recent ``t``."""
         if not members:
             return 0
         lost = 0
-        for ebit, removed in self.log[bisect_right(self.log_stamps, t) :]:
+        for ebit, removed in self.log[t:]:
             if removed & within and members & ebit:
                 lost |= ebit
         return lost
 
     def removed_since(self, t: int) -> int:
-        """The bits removed from any entry since ``bits_deleted`` was
-        ``t``: the edges f whose ``holders[f]`` changed since then."""
+        """The bits removed from any entry since the log held ``t``
+        changes: the edges f whose ``holders[f]`` changed since then."""
         removed = 0
-        for _, bits in self.log[bisect_right(self.log_stamps, t) :]:
+        for _, bits in self.log[t:]:
             removed |= bits
         return removed
 
@@ -560,11 +526,13 @@ class OperatorCaches:
     for its members f (X = W; members ending at v are exempt from the
     test), so does a fixpoint W found at v (``fixpoints``), and lane ec of
     the tables towards b reads R(ec) & es (``mid_tidy``; X = es).  Each
-    record notes ``r.bits_deleted`` when it was last known exact, and
+    record stamps ``len(r.log)`` when it was last known exact, and
     ``r.lost_within`` picks the edges it read whose entries lost a bit
     inside X since then (``r.changed_since`` first passes over a record
     none of whose stages changed; lane tables ask ``r.removed_since``
-    instead, see ``mid_tidy``).  With none, every read is as before,
+    instead, see ``mid_tidy``).  A nonempty W at v is tidy from the
+    source to v, so its tested members are its edges outside v's stage,
+    ``W & ~in_mask[v]``.  With none, every read is as before,
     so the record is still exact and is re-stamped: W is still a fixpoint
     of comp's step (whose tidy reads no entry), and still the greatest
     inside the ``comp`` key's edge set, since that can only shrink as
@@ -615,17 +583,15 @@ class OperatorCaches:
         hit = self._comp.get((vi, es))
         if hit is None:
             result = comp(es, g._vnames[vi], r, g)
-            self._comp[vi, es] = [result, r.bits_deleted]
-            self._comp[vi, result] = [result, r.bits_deleted]  # comp of a fixpoint is itself
+            self._comp[vi, es] = [result, len(r.log)]
+            self._comp[vi, result] = [result, len(r.log)]  # comp of a fixpoint is itself
             self.comp_runs += 1
             return result
         result, stamp = hit
-        span = r.changed_since(g._vstage[vi] - 1, stamp)
-        if span:
-            hit[1] = r.bits_deleted
-            # every member changed since stamp lies in span; the members
-            # ending at vi, exempt from the test, lie in vi's stage outside it
-            dirty = r.lost_within(result & span, stamp, result)
+        if r.changed_since(g._vstage[vi] - 1, stamp):
+            hit[1] = len(r.log)
+            # the members ending at vi are exempt from the test
+            dirty = r.lost_within(result & ~g._in_mask[vi], stamp, result)
             if dirty:
                 new = comp(es, g._vnames[vi], r, g, start=result, lanes=dirty)
                 self.comp_runs += 1
@@ -669,7 +635,7 @@ class OperatorCaches:
                 _forward_lanes(g, r.holders, es, bi),
                 _backward_lanes(g, r.holders, es, bi, depth=depth),
             )
-            self._lanes[bi] = [tables, es, r.bits_deleted, depth]
+            self._lanes[bi] = [tables, es, len(r.log), depth]
             return tables
         tables, old, t, top = rec  # back holds at the stages top and up
         if old != es or r.changed_since(stage - 1, t):
@@ -682,7 +648,7 @@ class OperatorCaches:
                 _forward_lanes(g, r.holders, es, bi, fwd, low)
                 top = rec[3] = max(top, estage[changed.bit_length() - 1])
                 tables = (fwd, back)
-            rec[:3] = tables, es, r.bits_deleted
+            rec[:3] = tables, es, len(r.log)
         if depth < top:
             _backward_lanes(g, r.holders, es, bi, depth=depth, back=tables[1], top=top)
             rec[3] = depth
@@ -704,18 +670,17 @@ class OperatorCaches:
         hit = self._found.get(vi)
         if hit is None:
             found: list[int] = []
-            self._found[vi] = [found, r.bits_deleted]
+            self._found[vi] = [found, len(r.log)]
             return found
         found, t = hit
-        span = r.changed_since(self.graph._vstage[vi] - 1, t)
-        if span and found:
+        if found and r.changed_since(self.graph._vstage[vi] - 1, t):
             union = 0
             for w in found:
                 union |= w
-            suspects = r.lost_within(union & span, t, union)
+            suspects = r.lost_within(union & ~self.graph._in_mask[vi], t, union)
             if suspects:
                 found[:] = [
                     w for w in found if not (w & suspects and r.lost_within(w & suspects, t, w))
                 ]
-        hit[1] = r.bits_deleted
+        hit[1] = len(r.log)
         return found

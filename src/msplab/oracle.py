@@ -23,6 +23,7 @@ from .reduction import UndirectedGraph
 from .zh import NO, YES, InvalidGraphError
 
 TIMEOUT = "TIMEOUT"
+DEFAULT_MAX_NODES = 10_000_000  # node-expansion cap of a search budget
 
 
 class PathStructureError(ValueError):
@@ -31,7 +32,7 @@ class PathStructureError(ValueError):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    max_nodes: int = 10_000_000
+    max_nodes: int = DEFAULT_MAX_NODES
     max_seconds: float | None = None
 
     def check(self) -> None:
@@ -80,11 +81,14 @@ def verify_simple_path(g: MultistageGraph, path: Sequence[str]) -> bool:
 def oracle_simple_path(
     g: MultistageGraph, budget: SearchBudget | None = None
 ) -> OracleResult:
-    """Exhaustive simple-path search, first witness in ascending edge-id order."""
+    """Exhaustive simple-path search, first witness in ascending edge-id order.
+
+    Raises ``ValueError`` if ``budget`` fails :meth:`SearchBudget.check`."""
+    budget = budget or SearchBudget()
+    budget.check()
     report = validate(g)
     if not report.ok:
         raise InvalidGraphError(report)
-    budget = budget or SearchBudget()
     deadline = None if budget.max_seconds is None else time.perf_counter() + budget.max_seconds
 
     out_mask = g._out_mask
@@ -138,8 +142,11 @@ def verify_hamilton_circuit(ug: UndirectedGraph, circuit) -> bool:
 
 
 def oracle_hamilton(ug: UndirectedGraph, budget: SearchBudget | None = None) -> OracleResult:
-    """Backtracking Hamilton-circuit search anchored at the lowest vertex."""
+    """Backtracking Hamilton-circuit search anchored at the lowest vertex.
+
+    Raises ``ValueError`` if ``budget`` fails :meth:`SearchBudget.check`."""
     budget = budget or SearchBudget()
+    budget.check()
     deadline = None if budget.max_seconds is None else time.perf_counter() + budget.max_seconds
     expanded = 0
     if ug.n < 3:

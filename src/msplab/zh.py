@@ -99,7 +99,8 @@ def zh_solve(
             }
         )
 
-    sweep_bound = 1 + sum(m.bit_count() for m in entries)
+    initial_bits = sum(m.bit_count() for m in entries)
+    sweep_bound = 1 + initial_bits
     sweeps = 0
     while True:
         sweeps += 1
@@ -107,7 +108,7 @@ def zh_solve(
             raise AbnormalTerminationError(
                 f"no fixpoint after {sweeps - 1} sweeps (bound {sweep_bound})"
             )
-        deleted_before = r.bits_deleted
+        logged = len(r.log)
         for stage in range(1, stage_limit):
             # contract each stage edge's reachable set
             for eid in range(stage_end[stage - 1], stage_end[stage]):
@@ -161,7 +162,7 @@ def zh_solve(
                 new = _tidy_idx(g, kept, g._eto[eid], sink_idx)
                 if r.set_entry(eid, new) and trace is not None:
                     record_shrink(eid, cur)
-        if r.bits_deleted == deleted_before:
+        if len(r.log) == logged:
             break
 
     final = caches.comp_of(sink_idx)  # stage-L edge sets are never touched above
@@ -176,7 +177,7 @@ def zh_solve(
             "guard_certified": caches.guard_certified,
             "limit": limit_ops,
         },
-        edges_deleted=r.bits_deleted,
+        edges_deleted=initial_bits - sum(m.bit_count() for m in entries),
         wall_time=time.perf_counter() - started,
     )
     return ZhResult(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import msplab
 from msplab import cli
+from msplab.lab import CampaignConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,3 +42,12 @@ def test_readme_command_block_lists_every_subcommand():
         if isinstance(action, argparse._SubParsersAction)
     )
     assert documented == set(subparsers.choices)
+
+
+def test_readme_campaign_defaults_match_the_config():
+    """The README's block of campaign-config defaults is exactly what
+    ``CampaignConfig().to_text()`` writes."""
+    section = readme_section("File formats")
+    after = section.split("Campaign configs are `key = value` lines; defaults shown:", 1)[1]
+    block = after.split("```")[1]
+    assert block.lstrip("\n") == CampaignConfig().to_text()

@@ -595,6 +595,25 @@ def test_campaign_totals_conserve():
     assert report.seed_first == 0 and report.seed_last == 59
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"instances": -5}, "instances"),
+        ({"stages_min": 0}, "stages_min"),
+        ({"workers": 0}, "workers"),
+        ({"eset_densities": ()}, "eset_densities"),
+    ],
+)
+def test_campaign_refuses_a_bad_config_before_writing(tmp_path, bad, match):
+    """``run_differential`` checks its config before it creates the output
+    directory: no report for -5 instances, no silent run with no stage or
+    no worker, and no numpy error from an empty density list."""
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=match):
+        run_differential(tiny_config(**bad), out_dir=out)
+    assert not out.exists()
+
+
 def test_campaign_rerun_identical():
     a = run_differential(tiny_config())
     b = run_differential(tiny_config())

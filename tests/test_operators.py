@@ -417,15 +417,15 @@ def lane_tidy(g, r, tables, es, ec):
 
 
 def changed_entries(history, r, t, members):
-    """The edges of ``members`` whose entry changed since ``r.bits_deleted``
-    was ``t``, read from ``history`` (see ``lost_since``)."""
+    """The edges of ``members`` whose entry changed since ``r.log`` held
+    ``t`` changes, read from ``history`` (see ``lost_since``)."""
     return edge_set(f for f in edge_ids(members) if history[t][f] != r.entries[f])
 
 
 def lost_since(g, r, history, t, members, within):
     """The edges of ``members`` whose entry lost a bit of ``within`` since
-    ``r.bits_deleted`` was ``t``, read from ``history`` (a copy of
-    ``r.entries`` for every ``bits_deleted`` value so far)."""
+    ``r.log`` held ``t`` changes, read from ``history`` (a copy of
+    ``r.entries`` for every length of ``r.log`` so far)."""
     return edge_set(f for f in edge_ids(members) if history[t][f] & ~r.entries[f] & within)
 
 
@@ -528,7 +528,7 @@ def test_operator_caches_stay_exact_as_entries_shrink():
             for eid in edge_ids(read if step % 2 else g.full_mask & ~read):
                 keep = rnd.randrange(g.full_mask + 1)
                 r.set_entry(eid, r.entries[eid] & (keep | keep >> 1))
-                history[r.bits_deleted] = list(r.entries)
+                history[len(r.log)] = list(r.entries)
         hits += caches.comp_hits
         warm += caches.comp_warm
         assert caches.comp_settled <= caches.comp_hits
@@ -575,7 +575,7 @@ def test_comp_cache_picks_the_changed_members_as_dirty_lanes(monkeypatch):
                     assert lanes_seen == [None]
                     continue
                 result, stamp = entry
-                stale = bool(r.changed_since(g._vstage[vi] - 1, stamp))
+                stale = r.changed_since(g._vstage[vi] - 1, stamp)
                 tested = result & ~g._in_mask[vi]
                 want = lost_since(g, r, history, stamp, tested, result)
                 moved = bool(changed_entries(history, r, stamp, tested))
@@ -592,7 +592,7 @@ def test_comp_cache_picks_the_changed_members_as_dirty_lanes(monkeypatch):
             for eid in rnd.sample(held, min(len(held), 3)):
                 drop = 1 << rnd.choice(edge_ids(r.entries[eid]))
                 r.set_entry(eid, r.entries[eid] & ~drop)
-                history[r.bits_deleted] = list(r.entries)
+                history[len(r.log)] = list(r.entries)
     assert dirty_runs > 0 and settled > 0 and missed > 0
 
 
@@ -777,7 +777,7 @@ def test_lane_tables_are_restamped_only_when_every_lane_stands(chain_c):
     at_d = caches.mid_tidy(di, 1 << e3, 3, 1)
     assert r.set_entry(e1, 1 << e3)  # R(S->a) loses a->b, outside both sets
     assert caches.mid_tidy(bi, 1 << e1, 2, 1) is at_b
-    assert caches._lanes[bi][2] == r.bits_deleted
+    assert caches._lanes[bi][2] == len(r.log)
     assert r.set_entry(e2, 0)  # R(a->b) loses b->D, inside the set at D
     assert caches.mid_tidy(di, 1 << e3, 2, 1) is not at_d  # asks for lane S->a only
     assert lane_tidy(chain_c, r, caches.mid_tidy(di, 1 << e3, 3, 1), 1 << e3, e2) == 0
@@ -1047,42 +1047,37 @@ def test_lane_passes_resume_and_extend():
 # -- reach map -------------------------------------------------------------
 
 
-def test_reachmap_bits_deleted_stamps_changes(chain_c):
-    """``bits_deleted`` counts the bits removed so far; a shrink stamps its
-    own edge and that edge's stage alone with the new count, and a no-op
-    stamps nothing."""
+def test_reachmap_stamps_changes_by_log_position(chain_c):
+    """``len(r.log)`` is the one clock.  A shrink logs its edge and the bits
+    it removed, and stamps that edge's stage alone with the new log length;
+    a no-op logs and stamps nothing.  ``changed_since`` is a flag."""
     r = init_all(chain_c)
     assert [chain_c.edge_triple(eid)[2] for eid in range(3)] == [1, 2, 3]
-    assert r.bits_deleted == 0
     assert r.stamps == [0, 0, 0, 0]
-    assert r.log == [] and r.log_stamps == []
+    assert r.log == []
     assert not r.set_entry(0, r.entries[0])
-    assert r.bits_deleted == 0
     assert r.stamps == [0, 0, 0, 0]
-    assert r.log == [] and r.log_stamps == []
-    removed = r.entries[0].bit_count()
+    assert r.log == []
     assert r.set_entry(0, 0)
-    assert r.bits_deleted == removed == 2
-    assert r.stamps == [0, 2, 0, 0]
-    assert r.log == [(0b001, 0b110)] and r.log_stamps == [2]
+    assert r.stamps == [0, 1, 0, 0]
+    assert r.log == [(0b001, 0b110)]
     assert r.set_entry(1, 0)
-    assert r.bits_deleted == 3
-    assert r.stamps == [0, 2, 3, 0]
-    assert r.log == [(0b001, 0b110), (0b010, 0b100)] and r.log_stamps == [2, 3]
+    assert r.stamps == [0, 1, 2, 0]
+    assert r.log == [(0b001, 0b110), (0b010, 0b100)]
     assert not r.set_entry(1, 0)
-    assert r.stamps == [0, 2, 3, 0]
-    assert r.log_stamps == [2, 3]
-    assert r.removed_since(0) == 0b110 and r.removed_since(2) == 0b100
-    assert r.removed_since(3) == 0
-    assert r.lost_within(0b011, 0, 0b100) == 0b011 and r.lost_within(0b011, 2, 0b010) == 0
-    assert r.changed_since(0, 0) == 0 and r.changed_since(1, 0) == 0b001
-    assert r.changed_since(1, 2) == 0 and r.changed_since(2, 2) == 0b010
-    assert r.changed_since(3, 3) == 0
-    assert r.changed_since(3, 0) == 0b011
-    # only a stage above k changed since t, and t is not the current count
+    assert r.stamps == [0, 1, 2, 0]
+    assert len(r.log) == 2
+    assert r.removed_since(0) == 0b110 and r.removed_since(1) == 0b100
+    assert r.removed_since(2) == 0
+    assert r.lost_within(0b011, 0, 0b100) == 0b011 and r.lost_within(0b011, 1, 0b010) == 0
+    assert r.changed_since(0, 0) is False and r.changed_since(1, 0) is True
+    assert r.changed_since(1, 1) is False and r.changed_since(2, 1) is True
+    assert r.changed_since(3, 2) is False
+    assert r.changed_since(3, 0) is True
+    # only a stage above k changed since t, and t is not the current length
     r = init_all(chain_c)
     assert r.set_entry(1, 0)
-    assert r.changed_since(1, 0) == 0 and r.changed_since(2, 0) == 0b010
+    assert r.changed_since(1, 0) is False and r.changed_since(2, 0) is True
 
 
 def test_reachmap_is_built_from_holders_alone():
@@ -1101,7 +1096,7 @@ def test_reachmap_is_built_from_holders_alone():
             edge_set(f for f in range(g.edge_count) if holders[f] >> e & 1)
             for e in range(g.edge_count)
         ]
-        assert r.bits_deleted == 0 and not any(r.stamps) and r.log == r.log_stamps == []
+        assert not any(r.stamps) and r.log == []
         with pytest.raises(TypeError):
             ReachMap(holders, g._estage)
 

@@ -142,6 +142,29 @@ def test_hamilton_timeout():
     assert oracle_hamilton(k8, SearchBudget(max_nodes=3)).answer == TIMEOUT
 
 
+@pytest.mark.parametrize(
+    "budget",
+    [
+        SearchBudget(max_nodes=0),
+        SearchBudget(max_nodes=-3),
+        SearchBudget(max_seconds=-1.0),
+        SearchBudget(max_seconds=float("nan")),
+    ],
+)
+def test_searches_refuse_a_bad_budget(chain_c, budget):
+    """Both searches check their budget first: a node cap below 1 or a
+    negative or NaN time cap raises instead of answering TIMEOUT after one
+    node or YES on a search too short to read the clock, as the CLI's
+    exit 4 for the same budgets says."""
+    k3 = UndirectedGraph.from_pairs(3, [(1, 2), (1, 3), (2, 3)])
+    with pytest.raises(ValueError, match="must be at least"):
+        oracle_simple_path(chain_c, budget)
+    with pytest.raises(ValueError, match="must be at least"):
+        oracle_hamilton(k3, budget)
+    with pytest.raises(ValueError, match="must be at least"):
+        oracle_hamilton(UndirectedGraph.from_pairs(2, [(1, 2)]), budget)
+
+
 def test_long_searches_leave_the_recursion_limit_alone():
     """Both searches keep their stack on the heap: a 2,000-deep search needs
     no process-wide recursion limit change."""

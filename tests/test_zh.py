@@ -206,6 +206,28 @@ def test_trace_replay_reproduces_final_state():
         assert replay_trace(g, trace) == result.reach
 
 
+def test_edges_deleted_is_the_initial_bits_minus_the_final_ones():
+    """``metrics.edges_deleted`` is the bits of the trace's ``r_init``
+    events minus the bits of the final reachable sets, and so the bits its
+    deletion events remove, on reductions of order 4-6 and on campaign
+    instances."""
+    from msplab.lab import CampaignConfig, gen_msp, shape_for_seed
+
+    config = CampaignConfig()
+    graphs = [reduce_hc_to_msp(gen_ugraph(n, 0.5, seed))[0] for n in range(4, 7) for seed in (0, 1)]
+    graphs += [gen_msp(shape_for_seed(config, seed)) for seed in range(300)]
+    deleted = 0
+    for g in graphs:
+        trace = []
+        result = zh_solve(g, trace=trace)
+        initial = sum(len(ev["value"]) for ev in trace if ev["event"] == "r_init")
+        removed = sum(len(ev["removed"]) for ev in trace if ev["event"] == "r_shrink")
+        final = sum(m.bit_count() for m in result.reach)
+        assert result.metrics.edges_deleted == initial - final == removed
+        deleted += removed
+    assert deleted > 0
+
+
 def test_solver_never_grows_state():
     from msplab.operators import init_all
 
