@@ -112,9 +112,9 @@ class GenShape:
             raise ValueError(f"widths must have length {self.stages + 1}")
         if self.widths[0] != 1 or self.widths[-1] != 1:
             raise ValueError("outer stages hold exactly one vertex")
-        if any(w < 1 for w in self.widths):
+        if min(self.widths) < 1:
             raise ValueError("unsatisfiable shape: zero-width stage")
-        if any(w > MAX_COUNT for w in self.widths):
+        if max(self.widths) > MAX_COUNT:
             raise ValueError(f"need widths of at most {MAX_COUNT}")
         for p in (self.edge_density, self.eset_density):
             if not 0.0 <= p <= 1.0:

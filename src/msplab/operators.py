@@ -438,6 +438,16 @@ def change(
     After each sweep the set is tidied from e's head to the sink.  Repeats
     until stable and writes the result back into ``r``.
 
+    A sweep walks the head vertices b of the members in index order and
+    takes each one's members as the mask ``cands & in_mask[b]``.  A group
+    with no anchor goes out whole, as do its members outside comp(b); only
+    those inside comp(b) are tested one by one.  r does not change within a
+    sweep, so a ``comp`` record for (b, esets[b]) or lane tables towards b
+    stamped ``len(r.log)`` are current and read as they are (the tables when
+    their edge set is comp(b) and their back rows reach e's stage); only
+    otherwise is ``comp_of`` or ``mid_tidy`` called.  Such a read is no
+    ``comp_value`` lookup, so it counts no ``comp_hits``.
+
     ``caches`` supplies the current per-vertex edge sets and shares
     contraction results, found fixpoints and lane tables across calls within
     one solver run (defaults to fresh caches over ``g`` and ``r``).
@@ -460,38 +470,56 @@ def change(
     bound = cur.bit_count() + 1
     sweeps = 0
     earlier = (1 << g._stage_end[stage - 1]) - 1  # the anchors: edges of stages < stage
+    later = g.span_mask(stage + 1, g.stage_count)  # the members to test
     ebit = 1 << eid
+    estage = g._estage
+    in_mask = g._in_mask
+    stage_vertices = g._stage_vertices
+    esets = caches.esets
+    comp_recs = caches._comp
+    lane_recs = caches._lanes
+    log = r.log
     found = None  # caches.fixpoints(ui), fetched at the first guard
     while True:
         sweeps += 1
         if sweeps > bound:
             raise AbnormalTerminationError(f"change exceeded {bound} sweeps")
         before = cur
-        cands = cur & g.span_mask(stage + 1, g.stage_count)
+        cands = cur & later
         if cands:
-            per_b: dict[int, list[int]] = {}
-            m = cands
-            while m:
-                low = m & -m
-                kid = low.bit_length() - 1
-                m ^= low
-                per_b.setdefault(eto[kid], []).append(kid)
+            now = len(log)  # r changes only at e's entry below
             dels = 0
-            for bi in sorted(per_b):
-                ceb = caches.comp_of(bi)
-                # anchors ec with e in tidy(R(ec) & ceb, head(ec), bi)
-                anchored = 0
-                if ceb & ebit:
-                    fwd, back = caches.mid_tidy(bi, ceb, stage, stage)
-                    anchored = holders[eid] & earlier & fwd[ui] & back[vi]
-                if not anchored:
-                    for kid in per_b[bi]:
-                        dels |= 1 << kid
+            # the head vertices in index order; vertex indices ascend by stage
+            first = stage_vertices[estage[(cands & -cands).bit_length() - 1]][0]
+            last = stage_vertices[estage[cands.bit_length() - 1]][-1]
+            for bi in range(first, last + 1):
+                group = cands & in_mask[bi]
+                if not group:
                     continue
-                for kid in per_b[bi]:
-                    kbit = 1 << kid
+                # current cache records are read as they are, with no lookup
+                rec = comp_recs.get((bi, esets[bi]))
+                ceb = rec[0] if rec is not None and rec[1] == now else caches.comp_of(bi)
+                if not ceb & ebit:
+                    dels |= group
+                    continue
+                rec = lane_recs.get(bi)
+                if rec is not None and rec[2] == now and rec[1] == ceb and rec[3] <= stage:
+                    fwd, back = rec[0]
+                else:
+                    fwd, back = caches.mid_tidy(bi, ceb, stage, stage)
+                # anchors ec with e in tidy(R(ec) & ceb, head(ec), bi)
+                anchored = holders[eid] & earlier & fwd[ui] & back[vi]
+                if not anchored:
+                    dels |= group
+                    continue
+                dels |= group & ~ceb
+                m = group & ceb
+                while m:
+                    kbit = m & -m
+                    kid = kbit.bit_length() - 1
+                    m ^= kbit
                     # T: the anchors whose tidied set also holds the member
-                    t_mask = anchored & holders[kid] & fwd[efrom[kid]] if ceb & kbit else 0
+                    t_mask = anchored & holders[kid] & fwd[efrom[kid]]
                     if not t_mask:
                         dels |= kbit
                         continue
@@ -545,6 +573,11 @@ class OperatorCaches:
     lowest stage the loss can reach.  A cold ``comp``
     result is also entered under its own value, since comp of a fixpoint is
     itself.
+
+    ``comp_hits`` (``operator_calls["comp_cache_hits"]``) counts the hits
+    made inside ``comp_value`` alone: every ``comp_value`` call that runs no
+    ``comp``.  ``change`` reads records already stamped ``len(r.log)``
+    directly, with no call, and those reads are not lookups.
     """
 
     __slots__ = (
@@ -578,6 +611,17 @@ class OperatorCaches:
         self.guard_certified = 0  # change keep-guards answered from _found
 
     def comp_value(self, es: int, vi: int) -> int:
+        """comp(``es``, v) for the vertex v of index ``vi``, under the
+        current reachable sets.
+
+        A key seen before returns its record once it is brought up to date
+        by the rule above: as it is while no entry it read lost a bit inside
+        the result (a hit, counted in ``comp_hits``; ``comp_settled`` too if
+        the record's stages changed), else by a ``comp`` re-run from the
+        result that tests the members whose entries lost one.  A new key
+        runs ``comp`` cold and enters the result under the key and under
+        its own value.
+        """
         r = self.r
         g = self.graph
         hit = self._comp.get((vi, es))
@@ -603,6 +647,8 @@ class OperatorCaches:
         return result
 
     def comp_of(self, vi: int) -> int:
+        """comp(v) of the vertex v of index ``vi``: ``comp_value`` of its
+        current edge set ``esets[vi]``."""
         return self.comp_value(self.esets[vi], vi)
 
     def mid_tidy(self, bi: int, es: int, stage: int, depth: int) -> tuple[list[int], list[int]]:

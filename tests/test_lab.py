@@ -320,6 +320,14 @@ def test_unsatisfiable_shape_rejected():
         GenShape(3, (2, 1, 1, 1), 0.5, 0.5, seed=1).check()
 
 
+def test_shape_check_reports_a_zero_width_before_an_oversize_one():
+    """``GenShape.check`` tests the widths' minimum before their maximum."""
+    with pytest.raises(ValueError, match="zero-width"):
+        GenShape(3, (1, 0, MAX_COUNT + 1, 1), 0.5, 0.5, seed=1).check()
+    with pytest.raises(ValueError, match=f"at most {MAX_COUNT}"):
+        GenShape(3, (1, 2, MAX_COUNT + 1, 1), 0.5, 0.5, seed=1).check()
+
+
 def test_generators_stop_at_the_parsers_limit():
     """A count above ``formats.MAX_COUNT`` would make a file the parsers
     reject with E_TOO_LARGE, so the generators and campaigns refuse it."""

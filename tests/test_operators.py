@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from msplab.lab import gen_ugraph
+from msplab.lab import GenShape, gen_msp, gen_ugraph
 from msplab.model import AbnormalTerminationError, edge_ids, edge_set, validate
 from msplab.operators import (
     OperatorCaches,
@@ -43,6 +43,15 @@ def gap_graph(seed, stages, gap):
         [v for v in vertices if v[0] not in gone],
         edges,
         {name: [t for t in es if t in edges] for name, es in esets.items() if name not in gone},
+    )
+
+
+def long_chain(length):
+    """Width-1 chain S, c1, ..., D of ``length`` stages, every edge set full."""
+    names = ["S", *(f"c{i}" for i in range(1, length)), "D"]
+    edges = [(names[k - 1], names[k], k) for k in range(1, length + 1)]
+    return mk_graph(
+        length, [(name, k) for k, name in enumerate(names)], edges, dict.fromkeys(names[1:], edges)
     )
 
 
@@ -187,9 +196,7 @@ def test_init_all_holders_and_short_and_long_graphs():
             edge_set(e for e, m in enumerate(r.entries) if m >> f & 1) for f in range(g.edge_count)
         ]
 
-    names = ["S", *(f"c{i}" for i in range(1, 150)), "D"]
-    edges = [(names[k - 1], names[k], k) for k in range(1, 151)]
-    g = mk_graph(150, [(name, k) for k, name in enumerate(names)], edges, {n: edges for n in names[1:]})
+    g = long_chain(150)
     r = init_all(g)
     assert r.entries == [g.full_mask & ~((2 << e) - 1) for e in range(150)]
     assert r.holders == [(1 << f) - 1 for f in range(150)]
@@ -725,6 +732,79 @@ def test_change_forgets_found_fixpoints_once_their_entries_shrink():
     assert results == [{("v", "D", 5)}, set()]
     w = mask_of(g, [("S", "a", 1), ("a", "c", 2), ("c", "u", 3)])
     assert caches.comp_value(w, names.index("u")) == 0
+
+
+def test_change_reads_current_cache_records_without_a_lookup(monkeypatch):
+    """Within one log length ``change`` reads the ``comp`` records and lane
+    tables it finds current as they are: a second call on the same edge
+    makes no ``comp_value`` and no ``mid_tidy`` call, and counts no
+    ``comp_hits``.  Lane tables over another edge set than comp(b) are
+    not read.  Once an entry loses a bit inside some head vertex's
+    comp result, that record goes through ``comp_value`` again, and the
+    result still equals ``reference.change_ref``."""
+    g = long_chain(50)
+    rg = ref.RefGraph(g)
+    r = init_all(g)
+    caches = OperatorCaches(g, r)
+    calls = []
+    real_value, real_tidy = OperatorCaches.comp_value, OperatorCaches.mid_tidy
+
+    def comp_value(self, es, vi):
+        calls.append(("comp_value", vi))
+        return real_value(self, es, vi)
+
+    def mid_tidy(self, bi, es, stage, depth):
+        calls.append(("mid_tidy", bi))
+        return real_tidy(self, bi, es, stage, depth)
+
+    monkeypatch.setattr(OperatorCaches, "comp_value", comp_value)
+    monkeypatch.setattr(OperatorCaches, "mid_tidy", mid_tidy)
+    e = g.edge_id("c9", "c10", 10)
+    first = change(r, e, g, caches)
+    assert first == g.span_mask(11, 50) and calls and not r.log
+    calls.clear()
+    hits = caches.comp_hits
+    assert change(r, e, g, caches) == first
+    assert calls == [] and caches.comp_hits == hits and not r.log
+
+    bi = g.vertex_names().index("c20")
+    ceb = caches._comp[bi, caches.esets[bi]][0]
+    lost = g.edge_id("c19", "c20", 20)
+    assert ceb >> lost & 1
+    # current lane tables over another edge set than comp(b) are not read
+    caches.mid_tidy(bi, ceb & ~(1 << lost), 10, 10)
+    calls.clear()
+    assert change(r, e, g, caches) == first
+    assert calls == [("mid_tidy", bi)]
+
+    s_c1 = g.edge_id("S", "c1", 1)
+    assert r.set_entry(s_c1, r.entries[s_c1] & ~(1 << lost))
+    reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
+    want = ref.change_ref(rg, reach, g.edge_triple(e))
+    assert triples_of(g, change(r, e, g, caches)) == want == set()
+    assert ("comp_value", bi) in calls
+
+
+def test_change_matches_reference_on_wide_stages():
+    """Shapes with a stage of width 12, where ``v1_10`` sorts, and takes its
+    vertex id, before ``v1_2``: ``change`` on every edge in turn, all
+    through one ``OperatorCaches``, equals ``reference.change_ref`` on the
+    same, shrinking map."""
+    kept = 0
+    for seed in (0, 2, 4, 5, 6, 8):
+        g = gen_msp(GenShape(4, (1, 12, 3, 2, 1), 0.8, 0.8, seed))
+        names = g.vertex_names()
+        assert names.index("v1_10") < names.index("v1_2"), seed
+        rg = ref.RefGraph(g)
+        r = init_all(g)
+        caches = OperatorCaches(g, r)
+        reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
+        for eid in range(g.edge_count):
+            got = change(r, eid, g, caches)
+            want = ref.change_ref(rg, reach, g.edge_triple(eid))
+            assert triples_of(g, got) == want, (seed, g.edge_triple(eid))
+            kept += bool(got)
+    assert kept > 0
 
 
 def test_caches_ignore_entries_of_the_target_stage(chain_c):

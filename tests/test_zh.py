@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from msplab.lab import gen_ugraph
+from msplab.lab import GenShape, gen_msp, gen_ugraph
 from msplab.model import edge_ids, edge_set, validate
 from msplab.operators import OperatorCaches, init_all, tidy
 from msplab.oracle import oracle_hamilton, oracle_simple_path
@@ -76,6 +76,23 @@ def test_matches_reference_solver_on_small_reductions():
         answer, final = ref.zh_ref(ref.RefGraph(g))
         assert result.answer == answer, ug
         assert frozenset(g.edge_triple(i) for i in edge_ids(result.final_comp_ed)) == final, ug
+        answers.add(answer)
+    assert answers == {YES, NO}
+
+
+def test_matches_reference_solver_on_wide_stages():
+    """Shapes with a stage of width 12, where ``v1_10`` sorts, and takes its
+    vertex id, before ``v1_2``: answer and final set equal the reference
+    solver's, with both answers among them."""
+    answers = set()
+    for seed in (0, 2, 4, 5, 6, 8):
+        g = gen_msp(GenShape(4, (1, 12, 3, 2, 1), 0.8, 0.8, seed))
+        names = g.vertex_names()
+        assert names.index("v1_10") < names.index("v1_2"), seed
+        result = zh_solve(g)
+        answer, final = ref.zh_ref(ref.RefGraph(g))
+        assert result.answer == answer, seed
+        assert frozenset(g.edge_triple(i) for i in edge_ids(result.final_comp_ed)) == final, seed
         answers.add(answer)
     assert answers == {YES, NO}
 
