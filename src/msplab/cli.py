@@ -90,8 +90,7 @@ def _load_instance(path: str):
         raise _CliFailure(EXIT_FORMAT, str(exc)) from exc
     report = validate(g)
     if not report.ok:
-        lines = "\n".join(f"  {code} at {where}: {msg}" for code, where, msg in report.violations)
-        raise _CliFailure(EXIT_INVALID, f"instance fails validation:\n{lines}")
+        raise InvalidGraphError(report)
     return g
 
 

@@ -97,11 +97,9 @@ def parse_instance(text: str) -> MultistageGraph:
         raise InstanceParseError("E_BAD_HEADER", "first directive must be 'msp 1'", lineno, col)
 
     stages: int | None = None
-    vertices: list[tuple[str, int]] = []
-    seen_vertices: dict[str, int] = {}
+    vertices: dict[str, int] = {}  # name -> stage
     edges_by_fileid: dict[int, tuple[str, str, int]] = {}
-    eset_lines: list[tuple[int, str, list[int]]] = []
-    seen_esets: set[str] = set()
+    eset_lines: dict[str, tuple[int, list[int]]] = {}  # vertex -> (line, members)
 
     for lineno, col, tokens in lines[1:]:
         directive, args = tokens[0], tokens[1:]
@@ -116,10 +114,9 @@ def parse_instance(text: str) -> MultistageGraph:
             if len(args) != 2:
                 raise InstanceParseError("E_SYNTAX", "vertex takes NAME STAGE", lineno)
             name, stage = args[0], _int_field(args[1], "vertex stage", lineno)
-            if name in seen_vertices:
+            if name in vertices:
                 raise InstanceParseError("E_DUPLICATE_VERTEX", f"vertex {name!r} declared twice", lineno)
-            seen_vertices[name] = stage
-            vertices.append((name, stage))
+            vertices[name] = stage
         elif directive == "edge":
             if len(args) != 4:
                 raise InstanceParseError("E_SYNTAX", "edge takes ID FROM TO STAGE", lineno)
@@ -131,11 +128,9 @@ def parse_instance(text: str) -> MultistageGraph:
         elif directive == "eset":
             if not args:
                 raise InstanceParseError("E_SYNTAX", "eset takes VERTEX [ID...]", lineno)
-            if args[0] in seen_esets:
+            if args[0] in eset_lines:
                 raise InstanceParseError("E_DUPLICATE_ESET", f"eset for {args[0]!r} given twice", lineno)
-            seen_esets.add(args[0])
-            members = [_int_field(t, "edge id", lineno) for t in args[1:]]
-            eset_lines.append((lineno, args[0], members))
+            eset_lines[args[0]] = lineno, [_int_field(t, "edge id", lineno) for t in args[1:]]
         else:
             raise InstanceParseError("E_SYNTAX", f"unknown directive {directive!r}", lineno, col)
 
@@ -143,8 +138,8 @@ def parse_instance(text: str) -> MultistageGraph:
         raise InstanceParseError("E_MISSING_STAGES", "no stages directive")
 
     esets: dict[str, list[tuple[str, str, int]]] = {}
-    for lineno, vname, members in eset_lines:
-        if vname not in seen_vertices:
+    for vname, (lineno, members) in eset_lines.items():
+        if vname not in vertices:
             raise InstanceParseError("E_UNKNOWN_VERTEX", f"eset for undeclared vertex {vname!r}", lineno)
         triples = []
         for fileid in members:
@@ -154,7 +149,7 @@ def parse_instance(text: str) -> MultistageGraph:
         esets[vname] = triples
 
     try:
-        return MultistageGraph(stages, vertices, edges_by_fileid.values(), esets)
+        return MultistageGraph(stages, vertices.items(), edges_by_fileid.values(), esets)
     except GraphStructureError as exc:
         raise InstanceParseError("E_STRUCTURE", str(exc)) from exc
 

@@ -37,7 +37,7 @@ from .formats import MAX_COUNT, _int_field, parse_instance, serialize_instance
 from .model import MultistageGraph, edge_ids, validate
 from .oracle import DEFAULT_MAX_NODES, TIMEOUT, SearchBudget, oracle_simple_path
 from .reduction import UndirectedGraph
-from .zh import NO, YES, zh_solve
+from .zh import NO, YES, InvalidGraphError, zh_solve
 
 AGREE_YES = "AGREE_YES"
 AGREE_NO = "AGREE_NO"
@@ -247,7 +247,7 @@ def vec_metric(g: MultistageGraph) -> tuple[int, ...]:
     plain tuples."""
     report = validate(g)
     if not report.ok:
-        raise ValueError(f"vec_metric needs a valid graph: {report.violations}")
+        raise InvalidGraphError(report)
     comps = []
     for stage in range(1, g.stage_count):
         total = 0
@@ -437,6 +437,12 @@ def shape_for_seed(config: CampaignConfig, seed: int) -> GenShape:
     )
 
 
+def _campaign_shape(config_echo: dict) -> dict:
+    """The keys of a config echo that shape a campaign's instances and
+    verdicts: all but ``workers``, which only parallelizes the same seeds."""
+    return {k: v for k, v in config_echo.items() if k != "workers"}
+
+
 @dataclass
 class CampaignReport:
     totals: dict[str, int]
@@ -462,14 +468,13 @@ class CampaignReport:
 
     def comparable(self) -> dict:
         """Report content that must match across reruns: everything except
-        timing and execution knobs (worker count does not shape instances)."""
-        config = {k: v for k, v in self.config.items() if k != "workers"}
+        timing and the worker count (see ``_campaign_shape``)."""
         return {
             "totals": self.totals,
             "instances": self.instances,
             "seed_first": self.seed_first,
             "seed_last": self.seed_last,
-            "config": config,
+            "config": _campaign_shape(self.config),
             "findings": self.findings,
         }
 
@@ -539,14 +544,14 @@ def _write_progress(out_dir: Path, state: dict) -> None:
 
 def _read_progress(path: Path, config_echo: dict, instances: int) -> tuple[int, dict, list]:
     """``done``, ``totals`` and ``findings`` of the checkpoint at ``path``,
-    which must be one this campaign (``config_echo``, ``instances``) wrote."""
+    which this campaign (``config_echo`` but ``workers``, ``instances``) wrote."""
     try:
         state = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"unreadable progress file {path}: {exc}") from exc
-    if not isinstance(state, dict) or "config" not in state:
+    if not isinstance(state, dict) or not isinstance(state.get("config"), dict):
         raise ValueError(f"unreadable progress file {path}: not a checkpoint")
-    if state["config"] != config_echo:
+    if _campaign_shape(state["config"]) != _campaign_shape(config_echo):
         raise ValueError("resume requested with a different configuration")
     done = state.get("done")
     totals = state.get("totals")
@@ -577,12 +582,13 @@ def run_differential(
     both solver outputs, metadata; candidate counterexamples also get a
     minimized variant), progress is checkpointed every ``PROGRESS_EVERY``
     instances so an interrupted campaign resumes from the last checkpoint
-    (a checkpoint of another config, or one not of the shape this function
-    writes, raises ``ValueError``), and the final report is written as both
-    a table and line-delimited records.  Parallel and serial runs produce
-    identical reports because instances are independent and merged in seed
-    order.  A config that fails :meth:`CampaignConfig.check` raises
-    ``ValueError`` before anything is written.
+    (a checkpoint of a config that differs in more than ``workers``, or one
+    not of the shape this function writes, raises ``ValueError``), and the
+    final report is written as both a table and line-delimited records.
+    Parallel and serial runs produce identical reports because instances
+    are independent and merged in seed order.  A config that fails
+    :meth:`CampaignConfig.check` raises ``ValueError`` before anything is
+    written.
     """
     config.check()
     started = time.perf_counter()

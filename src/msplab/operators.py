@@ -56,8 +56,8 @@ Two conventions the operator definitions leave open are pinned here:
   path-existence test unconditionally (a zero-length path cannot be
   represented as a nonempty edge set); it remains subject to the tidy step.
 * In ``change`` on a stage-1 edge there are no earlier-stage edges to anchor
-  the keep-guard, so the guard is vacuously satisfied and only the final tidy
-  applies.
+  the keep-guard, so the guard is vacuously satisfied: the mask of members
+  to test is empty, and only the final tidy applies.
 
 Deletions inside each fixpoint sweep are collected and applied at sweep end
 (ascending edge-id order), so results do not depend on iteration order.
@@ -428,11 +428,11 @@ def change(
     """Contract the reachable set of edge e (id ``eid``) against all the
     others.
 
-    For each member edge of the set beyond e's stage, the member is kept only
-    if some earlier-stage edge set T anchors it: T holds the edges whose
-    reachable sets (cut down to the member's head vertex) witness a path
-    carrying both e and the member, and T contracted at e's tail must be
-    nonempty.  A T that holds a nonempty contraction result already found
+    For each member edge of the set beyond e's stage (none on a stage-1
+    edge), the member is kept only if some earlier-stage edge set T anchors
+    it: T holds the edges whose reachable sets (cut down to the member's
+    head vertex) witness a path carrying both e and the member, and T
+    contracted at e's tail must be nonempty.  A T that holds a nonempty contraction result already found
     at e's tail, and still a fixpoint there, passes without contracting; a
     nonempty contraction joins those results.
     After each sweep the set is tidied from e's head to the sink.  Repeats
@@ -445,7 +445,7 @@ def change(
     sweep, so a ``comp`` record for (b, esets[b]) or lane tables towards b
     stamped ``len(r.log)`` are current and read as they are (the tables when
     their edge set is comp(b) and their back rows reach e's stage); only
-    otherwise is ``comp_of`` or ``mid_tidy`` called.  Such a read is no
+    otherwise is ``comp_value`` or ``mid_tidy`` called.  Such a read is no
     ``comp_value`` lookup, so it counts no ``comp_hits``.
 
     ``caches`` supplies the current per-vertex edge sets and shares
@@ -463,14 +463,10 @@ def change(
     sink = g._stage_vertices[g.stage_count][0]
 
     cur = r.entries[eid]
-    if stage <= 1:
-        r.set_entry(eid, _tidy_idx(g, cur, vi, sink))
-        return r.entries[eid]
-
     bound = cur.bit_count() + 1
     sweeps = 0
     earlier = (1 << g._stage_end[stage - 1]) - 1  # the anchors: edges of stages < stage
-    later = g.span_mask(stage + 1, g.stage_count)  # the members to test
+    later = g.span_mask(stage + 1, g.stage_count) if stage > 1 else 0  # the members to test
     ebit = 1 << eid
     estage = g._estage
     in_mask = g._in_mask
@@ -497,8 +493,9 @@ def change(
                 if not group:
                     continue
                 # current cache records are read as they are, with no lookup
-                rec = comp_recs.get((bi, esets[bi]))
-                ceb = rec[0] if rec is not None and rec[1] == now else caches.comp_of(bi)
+                eb = esets[bi]
+                rec = comp_recs.get((bi, eb))
+                ceb = rec[0] if rec is not None and rec[1] == now else caches.comp_value(eb, bi)
                 if not ceb & ebit:
                     dels |= group
                     continue
@@ -547,7 +544,7 @@ class OperatorCaches:
     operator calls in one run.
 
     ``esets[v]`` starts as vertex v's edge set in the graph (0 for the
-    source); the solver shrinks it in place, and ``comp_of(v)`` contracts it.
+    source), which the solver shrinks in place to its ``comp_value``.
 
     One rule judges staleness.  Each record reads the entries of some edges
     only inside a set X it holds: a ``comp`` result W at v reads R(f) & W
@@ -645,11 +642,6 @@ class OperatorCaches:
             self.comp_settled += 1
         self.comp_hits += 1
         return result
-
-    def comp_of(self, vi: int) -> int:
-        """comp(v) of the vertex v of index ``vi``: ``comp_value`` of its
-        current edge set ``esets[vi]``."""
-        return self.comp_value(self.esets[vi], vi)
 
     def mid_tidy(self, bi: int, es: int, stage: int, depth: int) -> tuple[list[int], list[int]]:
         """Lane tables ``(fwd, back)`` of ``es`` towards vertex ``bi``, exact

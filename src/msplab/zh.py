@@ -31,12 +31,13 @@ NO = "NO"
 
 
 class InvalidGraphError(ValueError):
-    """The input graph fails structural validation."""
+    """The input graph fails structural validation; the text lists each
+    violation of ``report`` on its own line as ``CODE at where: message``."""
 
     def __init__(self, report):
         self.report = report
-        codes = ", ".join(sorted({c for c, _, _ in report.violations}))
-        super().__init__(f"invalid multistage graph: {codes}")
+        lines = "".join(f"\n  {code} at {where}: {msg}" for code, where, msg in report.violations)
+        super().__init__(f"instance fails validation:{lines}")
 
 
 @dataclass
@@ -123,7 +124,7 @@ def zh_solve(
             for vi in stage_vertices[stage]:
                 if not esets[vi]:
                     continue  # comp of the empty set is empty
-                new = caches.comp_of(vi)
+                new = caches.comp_value(esets[vi], vi)
                 if new != esets[vi]:
                     if trace is not None:
                         trace.append(
@@ -165,7 +166,7 @@ def zh_solve(
         if len(r.log) == logged:
             break
 
-    final = caches.comp_of(sink_idx)  # stage-L edge sets are never touched above
+    final = caches.comp_value(esets[sink_idx], sink_idx)  # never touched above
     metrics = ZhMetrics(
         outer_sweeps=sweeps,
         operator_calls={

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
@@ -104,6 +105,60 @@ def test_reduce_p3_solves_no(capsys, tmp_path):
     status, out, _ = run_cli(capsys, "oracle", str(out_file))
     assert status == EXIT_OK
     assert out.splitlines()[0] == "NO"
+
+
+def test_reduce_machine_record_is_its_stats(capsys, tmp_path):
+    out_file = tmp_path / "k3.msp"
+    status, out, _ = run_cli(
+        capsys, "reduce", str(FIXTURES / "k3.graph"), "--machine", "-o", str(out_file)
+    )
+    assert status == EXIT_OK
+    g = parse_instance(out_file.read_text())
+    record = json.loads(out)
+    assert record.pop("command") == "reduce"
+    assert record == {
+        "order": 3,
+        "internal_vertices": 4,
+        "vertices": g.vertex_count(),
+        "edges": g.edge_count,
+    }
+
+
+@pytest.mark.parametrize(
+    "graph,argv,message",
+    [
+        ("1 2\n2 3\n1 3\n", ["--pivot", "4"], "pivot 4 not a vertex"),
+        ("1 2\n2 3\n1 3\n", ["--pivot", "0"], "pivot 0 not a vertex"),
+        ("1 2\n2 x\n", [], "E_BAD_INT"),
+    ],
+)
+def test_reduce_bad_pivot_or_graph_exits_format_error(capsys, tmp_path, graph, argv, message):
+    path = tmp_path / "in.graph"
+    path.write_text(graph)
+    status, out, err = run_cli(capsys, "reduce", str(path), *argv)
+    assert status == EXIT_FORMAT
+    assert message in err and out == ""
+
+
+def test_instance_read_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO((FIXTURES / "chain_c.msp").read_text()))
+    status, out, _ = run_cli(capsys, "solve", "-")
+    assert status == EXIT_OK
+    assert out.splitlines()[0] == "YES"
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "minimize"])
+def test_invalid_instance_lists_every_violation(capsys, tmp_path, command):
+    path = tmp_path / "invalid.msp"
+    path.write_text("msp 1\nstages 1\nvertex S 0\nvertex S2 0\nvertex D 1\nedge 0 S D 1\n")
+    status, out, err = run_cli(capsys, command, str(path))
+    assert status == EXIT_INVALID
+    assert out == ""
+    assert err == (
+        "msplab: instance fails validation:\n"
+        "  MULTI_SOURCE at stage 0: stage 0 has 2 vertices: S, S2\n"
+        "  MISSING_ESET at vertex D: vertex has no edge set\n"
+    )
 
 
 def test_stdin_pipe_through_processes(tmp_path):
@@ -241,6 +296,7 @@ def _with_totals(state, **changes):
     [
         lambda state: {},
         lambda state: [1],
+        lambda state: {**state, "config": [5]},
         lambda state: {**state, "done": "5"},
         lambda state: _with_totals({**state, "done": 7}, AGREE_NO=state["totals"]["AGREE_NO"] + 2),
         lambda state: {**state, "done": -1},
@@ -260,6 +316,7 @@ def _with_totals(state, **changes):
     ids=[
         "empty-dict",
         "list",
+        "config-not-dict",
         "done-not-int",
         "done-past-instances",
         "done-negative",

@@ -103,6 +103,23 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "line,code",
+    [
+        ("stages 1 2", "E_SYNTAX"),
+        ("vertex S", "E_SYNTAX"),
+        ("vertex S 0 1", "E_SYNTAX"),
+        ("edge 0 S D", "E_SYNTAX"),
+        ("eset", "E_SYNTAX"),
+        ("vertex S " + "9" * 5000, "E_BAD_INT"),  # more digits than int() converts
+    ],
+)
+def test_malformed_directives_name_their_line(line, code):
+    with pytest.raises(InstanceParseError) as err:
+        parse_instance(f"msp 1\n# a comment\n{line}\n")
+    assert (err.value.code, err.value.line) == (code, 3)
+
+
 def test_validation_questions_are_not_parse_errors():
     # two stage-0 vertices parse fine; validate reports them
     text = "msp 1\nstages 1\nvertex S 0\nvertex S2 0\nvertex D 1\neset D\n"
@@ -139,6 +156,7 @@ def test_ugraph_headerless_and_isolated_vertices():
     [
         ("", "E_EMPTY"),
         ("1 2 3\n", "E_SYNTAX"),
+        ("vertices 3 4\n", "E_SYNTAX"),
         ("1 1\n", "E_SELF_LOOP"),
         ("0 2\n", "E_BAD_VERTEX"),
         ("a b\n", "E_BAD_INT"),

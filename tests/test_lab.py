@@ -4,6 +4,7 @@ import itertools
 import json
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from msplab.lab import (
 from msplab.model import MultistageGraph, edge_ids, validate
 from msplab.oracle import SearchBudget, oracle_hamilton, oracle_simple_path
 from msplab.reduction import UndirectedGraph, reduce_hc_to_msp
-from msplab.zh import zh_solve
+from msplab.zh import InvalidGraphError, zh_solve
 
 from .conftest import CHAIN_EDGES, CHAIN_VERTICES, mk_graph
 
@@ -78,6 +79,21 @@ def test_density_zero_means_no_everywhere():
     assert all(not g.eset(n) for n in g.vertex_names() if n != "S")
     assert zh_solve(g).answer == "NO"
     assert oracle_simple_path(g).answer == "NO"
+
+
+@pytest.mark.parametrize("density", [-0.1, 1.5, float("nan")])
+def test_densities_outside_the_unit_interval_rejected(density):
+    for shape in (replace(small_shape(0), edge_density=density), small_shape(0, density)):
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            gen_msp(shape)
+    with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+        gen_ugraph(5, density, 0)
+
+
+def test_vec_metric_refuses_an_invalid_graph():
+    g = mk_graph(1, [("S", 0), ("D", 1)], [("S", "D", 1)], {})  # the sink has no edge set
+    with pytest.raises(InvalidGraphError, match="MISSING_ESET at vertex D"):
+        vec_metric(g)
 
 
 def test_density_one_makes_any_route_simple():
@@ -591,6 +607,8 @@ def test_config_text_round_trip():
     assert "edge_density = 1e-05\n" in tiny_config(edge_density=1e-05).to_text()
     with pytest.raises(ValueError):
         CampaignConfig.from_text("nonsense = 1\n")
+    with pytest.raises(ValueError, match="line 2: expected 'key = value'"):
+        CampaignConfig.from_text("instances = 5\ninstances 5\n")
     parsed = CampaignConfig.from_text("# comment\ninstances = 5\neset_densities = 0.25,0.75\n")
     assert parsed.instances == 5
     assert parsed.eset_densities == (0.25, 0.75)
@@ -698,6 +716,32 @@ def test_campaign_resume_from_checkpoint(tmp_path):
     )
     resumed = run_differential(cfg, out_dir=partial_dir, resume=True)
     assert resumed.comparable() == full.comparable()
+
+
+def test_campaign_resume_accepts_another_worker_count(tmp_path, monkeypatch):
+    """The worker count does not shape a campaign, so a checkpoint written
+    by one worker resumes on two to the report an uninterrupted run gives;
+    any other difference is still refused."""
+    cfg = tiny_config(instances=30)
+    full = run_differential(cfg)
+    real = lab.run_instance
+
+    def interrupted(config, seed):
+        if seed == 25:
+            raise RuntimeError("interrupted")
+        return real(config, seed)
+
+    monkeypatch.setattr(lab, "PROGRESS_EVERY", 10)
+    monkeypatch.setattr(lab, "run_instance", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_differential(cfg, out_dir=tmp_path)
+    monkeypatch.setattr(lab, "run_instance", real)
+    progress = json.loads((tmp_path / "progress.json").read_text())
+    assert (progress["done"], progress["config"]["workers"]) == (20, 1)
+    resumed = run_differential(replace(cfg, workers=2), out_dir=tmp_path, resume=True)
+    assert resumed.comparable() == full.comparable()
+    with pytest.raises(ValueError, match="different configuration"):
+        run_differential(replace(cfg, workers=2, seed=1), out_dir=tmp_path, resume=True)
 
 
 def test_campaign_resume_rejects_config_drift(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,6 +61,50 @@ def test_missing_and_source_esets_reported():
     )
     codes = {c for c, _, _ in validate(g).violations}
     assert codes == {"SOURCE_HAS_ESET", "MISSING_ESET"}
+
+
+@pytest.mark.parametrize(
+    "stages,vertices,edges,esets,message",
+    [
+        (0, [("S", 0)], [], {}, "stage count must be >= 1"),
+        (1, [("S", 0), ("D", 2)], [], {}, "outside [0, 1]"),
+        (1, [("S", 0), ("D", -1)], [], {}, "outside [0, 1]"),
+        (1, [("S", 0), ("D", 1)], [("S", "D", 2)], {}, "stage 2 outside [1, 1]"),
+        (1, [("S", 0), ("D", 1)], [("S", "D", 0)], {}, "stage 0 outside [1, 1]"),
+        (1, [("S", 0), ("D", 1)], [], {"Q": []}, "edge set for unknown vertex 'Q'"),
+        (1, [("S", 0), ("D", 1)], [], {"D": [("S", "D", 1)]}, "references unknown edge"),
+    ],
+)
+def test_unrepresentable_graphs_rejected(stages, vertices, edges, esets, message):
+    with pytest.raises(GraphStructureError, match=re.escape(message)):
+        MultistageGraph(stages, vertices, edges, esets)
+
+
+def test_edge_set_lookups_and_replacements_refuse_what_is_not_there(chain_c):
+    with pytest.raises(KeyError, match="no edge set"):
+        chain_c.eset("S")
+    with pytest.raises(GraphStructureError, match="unknown vertex 'Q'"):
+        chain_c.replace_esets({"Q": 0})
+    with pytest.raises(GraphStructureError, match="outside edge universe"):
+        chain_c.replace_esets({"D": chain_c.full_mask + 1})
+
+
+@pytest.mark.parametrize(
+    "vertices,violation",
+    [
+        ([("D", 1)], ("NO_SOURCE", "stage 0", "stage 0 has no vertex")),
+        ([("S", 0)], ("NO_SINK", "stage 1", "final stage has no vertex")),
+        (
+            [("S", 0), ("D", 1), ("D2", 1)],
+            ("MULTI_SINK", "stage 1", "final stage has 2 vertices: D, D2"),
+        ),
+    ],
+)
+def test_missing_and_extra_terminals_reported(vertices, violation):
+    esets = {name: [] for name, stage in vertices if stage}
+    report = validate(mk_graph(1, vertices, [], esets))
+    assert not report.ok
+    assert report.violations == (violation,)
 
 
 def test_validate_is_pure(chain_cprime):

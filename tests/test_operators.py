@@ -1216,3 +1216,86 @@ def test_operators_do_not_touch_the_graph(chain_c):
     tidy(chain_c.full_mask, "S", "D", chain_c)
     assert chain_c.document_data() == snapshot
     assert validate(chain_c).ok
+
+
+# -- the assumptions under the caches ------------------------------------------
+
+
+def test_comp_is_monotone_in_the_edge_set_and_the_reachable_sets():
+    """comp(es1; R1) lies inside comp(es2; R2) whenever es1 lies inside es2
+    and every entry of R1 inside the same entry of R2: the assumption under
+    ``comp``'s warm starts and ``OperatorCaches.fixpoints`` (Tarski,
+    Pacific J. Math. 5(2), 1955), checked for ``comp`` and ``comp_ref``."""
+    import random
+
+    compared = strict = 0
+    for seed in range(60):
+        g = random_graph(seed, stages=3 + seed % 3)
+        rg = ref.RefGraph(g)
+        rnd = random.Random(8000 + seed)
+        full = init_all(g).entries
+
+        def thin(m):
+            """``m`` with each bit kept at odds of 3 in 4."""
+            return m & (rnd.randrange(g.full_mask + 1) | rnd.randrange(g.full_mask + 1))
+
+        for _ in range(4):
+            r2 = [thin(m) for m in full]
+            r1 = [thin(m) for m in r2]
+            maps = [ReachMap(holders=transpose(r), estage=g._estage) for r in (r1, r2)]
+            reaches = [
+                {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r)} for r in (r1, r2)
+            ]
+            for name in g.vertex_names()[1:]:
+                es2 = g.eset(name) if rnd.random() < 0.5 else rnd.randrange(g.full_mask + 1)
+                es1 = thin(es2)
+                low = comp(es1, name, maps[0], g)
+                high = comp(es2, name, maps[1], g)
+                assert low & ~high == 0, (seed, name, edge_ids(es1), edge_ids(es2))
+                low_ref = ref.comp_ref(rg, triples_of(g, es1), name, reaches[0])
+                high_ref = ref.comp_ref(rg, triples_of(g, es2), name, reaches[1])
+                assert low_ref <= high_ref, (seed, name)
+                compared += bool(low)
+                strict += low != high
+    assert compared > 100 and strict > 30
+
+
+def test_reachable_sets_stay_tidy_through_the_solver(monkeypatch):
+    """Every entry equals tidy(entry, head, sink) after ``init_all``, after
+    every ``change`` inside ``zh_solve`` and in its final ``reach``, so a
+    stage-1 ``change`` there, which only tidies, never shrinks an entry."""
+    from msplab import zh
+
+    def untidy(g, entries):
+        sink = g.sink_name()
+        return [
+            eid
+            for eid, m in enumerate(entries)
+            if m != tidy(m, g.edge_triple(eid)[1], sink, g)
+        ]
+
+    real_init, real_change = zh.init_all, zh.change
+    calls = []
+
+    def checked_init(g):
+        r = real_init(g)
+        assert untidy(g, r.entries) == []
+        return r
+
+    def checked_change(r, eid, g, caches=None):
+        before = r.entries[eid]
+        result = real_change(r, eid, g, caches)
+        assert untidy(g, r.entries) == [], eid
+        if g._estage[eid] == 1:
+            assert result == before, eid
+        calls.append(g._estage[eid])
+        return result
+
+    monkeypatch.setattr(zh, "init_all", checked_init)
+    monkeypatch.setattr(zh, "change", checked_change)
+    graphs = [random_graph(seed, stages=3 + seed % 4, eset_p=0.9) for seed in range(30)]
+    graphs += [reduce_hc_to_msp(gen_ugraph(n, 0.6, seed))[0] for n in (5, 6) for seed in range(3)]
+    graphs += [gap_graph(seed, 5, 2) for seed in range(3)]
+    for g in graphs:
+        assert untidy(g, zh.zh_solve(g).reach) == []
+    assert calls.count(1) > 40 and len(calls) > 400

@@ -16,6 +16,7 @@ from msplab.oracle import (
     verify_simple_path,
 )
 from msplab.reduction import UndirectedGraph
+from msplab.zh import InvalidGraphError
 
 from . import reference as ref
 from .conftest import CHAIN_VERTICES, mk_graph, random_graph
@@ -48,6 +49,23 @@ def test_verify_simple_path_examples(chain_c, chain_cprime):
     assert verify_simple_path(chain_cprime, ["S", "a", "b", "D"]) is False
     with pytest.raises(PathStructureError):
         verify_simple_path(chain_c, ["S", "a", "D"])
+
+
+def test_verify_simple_path_needs_an_edge_set_at_every_vertex(chain_c):
+    vertices, edges, esets = chain_c.document_data()
+    del esets["b"]
+    assert verify_simple_path(mk_graph(3, vertices, edges, esets), ["S", "a", "b", "D"]) is False
+
+
+def test_oracle_refuses_an_invalid_graph():
+    g = mk_graph(1, [("S", 0), ("D", 1)], [("S", "D", 1)], {})  # the sink has no edge set
+    with pytest.raises(InvalidGraphError) as err:
+        oracle_simple_path(g)
+    assert err.value.report.violations == (("MISSING_ESET", "vertex D", "vertex has no edge set"),)
+    assert str(err.value).splitlines() == [
+        "instance fails validation:",
+        "  MISSING_ESET at vertex D: vertex has no edge set",
+    ]
 
 
 def test_verify_rejects_wrong_endpoints(chain_c):
@@ -128,6 +146,21 @@ def test_hamilton_witnesses_verify():
             result = oracle_hamilton(ug)
             if result.answer == YES:
                 assert verify_hamilton_circuit(ug, result.witness)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        (1, 2, 3, 4, 2),  # does not close
+        (1, 2, 3),  # too short
+        (1, 2, 4, 2, 1),  # a vertex twice, one missing
+        (1, 3, 2, 4, 1),  # 1 - 3 is no edge
+    ],
+)
+def test_verify_hamilton_circuit_rejects(circuit):
+    c4 = UndirectedGraph.from_pairs(4, [(1, 2), (2, 3), (3, 4), (1, 4), (2, 4)])
+    assert verify_hamilton_circuit(c4, (1, 2, 3, 4, 1))
+    assert not verify_hamilton_circuit(c4, circuit)
 
 
 def test_hamilton_small_orders_are_no():

@@ -78,6 +78,12 @@ def test_small_orders_rejected():
         reduce_hc_to_msp(UndirectedGraph.from_pairs(1, []))
 
 
+@pytest.mark.parametrize("pivot", [0, -1, 4])
+def test_pivot_outside_the_vertices_rejected(pivot):
+    with pytest.raises(ReductionError, match=f"pivot {pivot} not a vertex"):
+        reduce_hc_to_msp(K3, pivot)
+
+
 def test_equivalence_exhaustive_n4():
     for ug in all_graphs(4):
         reduced, _ = reduce_hc_to_msp(ug)

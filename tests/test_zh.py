@@ -116,7 +116,7 @@ def test_limit_tables_match_per_vertex_tidy():
         for _ in range(3):
             for stage in range(1, g.stage_count):
                 vis = [vi for vi, name in enumerate(names) if vstage[name] == stage]
-                comps = [caches.comp_of(vi) for vi in vis]
+                comps = [caches.comp_value(caches.esets[vi], vi) for vi in vis]
                 for vi, ceb in zip(vis, comps):
                     caches.esets[vi] = ceb
                 keep, losers = limit_tables(caches, stage)
@@ -153,7 +153,7 @@ def test_relimit_edge_sets_are_their_own_contractions(monkeypatch):
 
     def spy(caches, stage):
         for vi in caches.graph._stage_vertices[stage]:
-            assert caches.comp_of(vi) == caches.esets[vi], (stage, vi)
+            assert caches.comp_value(caches.esets[vi], vi) == caches.esets[vi], (stage, vi)
             checked.append(caches.esets[vi])
         return real(caches, stage)
 
