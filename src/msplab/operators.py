@@ -33,7 +33,10 @@
   ``OperatorCaches.mid_tidy`` keeps one pair of tables per target, which
   the solver's re-limit step reads too.  Edge ids ascend by stage, so each
   pass is one walk over the set bits of es, ascending forward and
-  descending backward.  A forward row at stage k reads only the edges of
+  descending backward, byte by byte through a table of each byte's
+  set-bit offsets: a set bit costs a few small-int operations, where
+  peeling it off the mask costs three on integers as wide as the graph.
+  A forward row at stage k reads only the edges of
   stages <= k, a backward row only those of stages > k, so both passes
   are recomputed only where a change can reach (Ramalingam & Reps, TCS
   158, 1996).  The backward table is built only down to the stage its
@@ -41,14 +44,20 @@
   and extended by the missing stages when a deeper request comes.  After
   a shrink, the forward pass resumes at the lowest stage holding a walked
   edge that left es or whose ``holders`` changed, and the backward table
-  keeps its rows at and above the highest such stage.  The keep-guard
+  keeps its rows at and above the highest such stage.  A pair found still
+  exact for the lanes below stage s at log length t is marked so, and
+  ``change`` on an edge of a stage up to s reads it in place while the
+  log stays at t.  The keep-guard
   asks whether comp(T, u) is empty for an anchor set T.  ``comp``'s step
   does not depend on its input set and ends with the source tidy, so
   every fixpoint inside T lies inside tidy(T, source, u): ``comp`` starts
   from that tidy itself, so the guard tidies nothing first.  A nonempty
   result W found at u that is still a fixpoint lies inside comp(T, u)
   whenever T holds W (Tarski again), so such a T passes with no ``comp``
-  lookup (``OperatorCaches.fixpoints``).
+  lookup (``OperatorCaches.fixpoints``).  Every T of a ``change`` call
+  lies inside e's anchors, ``holders[e]`` cut to the earlier stages, so
+  the call keeps only the found fixpoints inside that set and tries first
+  the one that answered the last guard.
 
 Two conventions the operator definitions leave open are pinned here:
 
@@ -75,6 +84,12 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .model import AbnormalTerminationError, EdgeSet, MultistageGraph
+
+# _BYTE_BITS[b]: the offsets of the set bits of byte b, ascending, through
+# which the lane passes walk an edge mask byte by byte; _BYTE_BITS_DOWN holds
+# them descending
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+_BYTE_BITS_DOWN = tuple(bits[::-1] for bits in _BYTE_BITS)
 
 
 def _reach(g: MultistageGraph, mask: int, xi: int, stages, near: list[int], far: list[int]) -> int:
@@ -146,15 +161,19 @@ def _forward_lanes(
     a = bisect_left(vstage, low)  # vertex indices ascend by stage
     b = bisect_left(vstage, stage)
     fwd[a:b] = g._in_mask[a:b]  # lanes whose head is x
+    m = es & (1 << g._stage_end[stage - 1]) - (1 << g._stage_end[max(low, 2) - 1])
+    if not m:
+        return fwd
     efrom = g._efrom
     eto = g._eto
-    stage_end = g._stage_end
-    m = es & (1 << stage_end[stage - 1]) - (1 << stage_end[max(low, 2) - 1])
-    while m:
-        low_bit = m & -m
-        f = low_bit.bit_length() - 1
-        m ^= low_bit
-        fwd[eto[f]] |= holders[f] & fwd[efrom[f]]
+    f0 = (m & -m).bit_length() - 1  # the walk starts at the lowest set bit
+    m >>= f0
+    for byte in m.to_bytes((m.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for j in _BYTE_BITS[byte]:
+                f = f0 + j
+                fwd[eto[f]] |= holders[f] & fwd[efrom[f]]
+        f0 += 8
     return fwd
 
 
@@ -198,17 +217,25 @@ def _backward_lanes(
         back[a:b] = [0] * (b - a)
     if depth >= top:
         return back
-    efrom = g._efrom
-    eto = g._eto
     stage_end = g._stage_end
     if top < stage:
         m = es & (1 << stage_end[top]) - (1 << stage_end[depth])
     else:  # of the edges of vi's stage, only those entering vi
         m = es & ((1 << stage_end[stage - 1]) - (1 << stage_end[depth]) | g._in_mask[vi])
-    while m:
-        f = m.bit_length() - 1
-        m ^= 1 << f
-        back[efrom[f]] |= holders[f] & back[eto[f]]
+    if not m:
+        return back
+    efrom = g._efrom
+    eto = g._eto
+    low = (m & -m).bit_length() - 1
+    m >>= low
+    nbytes = (m.bit_length() + 7) >> 3
+    f0 = low + 8 * (nbytes - 1)  # the walk starts at the highest byte
+    for byte in m.to_bytes(nbytes, "big"):
+        if byte:
+            for j in _BYTE_BITS_DOWN[byte]:
+                f = f0 + j
+                back[efrom[f]] |= holders[f] & back[eto[f]]
+        f0 -= 8
     return back
 
 
@@ -432,21 +459,25 @@ def change(
     edge), the member is kept only if some earlier-stage edge set T anchors
     it: T holds the edges whose reachable sets (cut down to the member's
     head vertex) witness a path carrying both e and the member, and T
-    contracted at e's tail must be nonempty.  A T that holds a nonempty contraction result already found
-    at e's tail, and still a fixpoint there, passes without contracting; a
-    nonempty contraction joins those results.
-    After each sweep the set is tidied from e's head to the sink.  Repeats
-    until stable and writes the result back into ``r``.
+    contracted at e's tail must be nonempty.  A T that holds a nonempty
+    contraction result already found at e's tail, and still a fixpoint
+    there, passes without contracting; a nonempty contraction joins those
+    results.  Every T lies inside e's anchors, ``holders[eid]`` cut to the
+    stages below e's, so only the results inside them are tried, the one
+    that answered the last guard first.  After each sweep the set is tidied
+    from e's head to the sink.  Repeats until stable and writes the result
+    back into ``r``.
 
     A sweep walks the head vertices b of the members in index order and
     takes each one's members as the mask ``cands & in_mask[b]``.  A group
     with no anchor goes out whole, as do its members outside comp(b); only
     those inside comp(b) are tested one by one.  r does not change within a
-    sweep, so a ``comp`` record for (b, esets[b]) or lane tables towards b
-    stamped ``len(r.log)`` are current and read as they are (the tables when
-    their edge set is comp(b) and their back rows reach e's stage); only
-    otherwise is ``comp_value`` or ``mid_tidy`` called.  Such a read is no
-    ``comp_value`` lookup, so it counts no ``comp_hits``.
+    sweep, so a ``comp`` record for (b, esets[b]) stamped ``len(r.log)`` is
+    current and read as it is; so are lane tables towards b over comp(b)
+    whose back rows reach e's stage, when ``mid_tidy`` stamped them
+    ``len(r.log)`` or found them exact then for the lanes below a stage at
+    or above e's.  Only otherwise is ``comp_value`` or ``mid_tidy`` called.
+    Such a read is no ``comp_value`` lookup, so it counts no ``comp_hits``.
 
     ``caches`` supplies the current per-vertex edge sets and shares
     contraction results, found fixpoints and lane tables across calls within
@@ -475,7 +506,10 @@ def change(
     comp_recs = caches._comp
     lane_recs = caches._lanes
     log = r.log
-    found = None  # caches.fixpoints(ui), fetched at the first guard
+    # caches.fixpoints(ui) and the ones of them inside holders[eid] & earlier,
+    # the only ones that can lie inside a T; fetched at the first guard
+    found = inside = None
+    certifier = -1  # the fixpoint that answered the last guard (-1 lies in no T)
     while True:
         sweeps += 1
         if sweeps > bound:
@@ -484,6 +518,7 @@ def change(
         cands = cur & later
         if cands:
             now = len(log)  # r changes only at e's entry below
+            exact = (now, stage)  # a lane record (t, s) at least this has t = now, s >= stage
             dels = 0
             # the head vertices in index order; vertex indices ascend by stage
             first = stage_vertices[estage[(cands & -cands).bit_length() - 1]][0]
@@ -500,7 +535,7 @@ def change(
                     dels |= group
                     continue
                 rec = lane_recs.get(bi)
-                if rec is not None and rec[2] == now and rec[1] == ceb and rec[3] <= stage:
+                if rec is not None and rec[4] >= exact and rec[1] == ceb and rec[3] <= stage:
                     fwd, back = rec[0]
                 else:
                     fwd, back = caches.mid_tidy(bi, ceb, stage, stage)
@@ -520,16 +555,24 @@ def change(
                     if not t_mask:
                         dels |= kbit
                         continue
-                    if found is None:  # r changes only at e's entry below, so it stays valid
+                    if found is None:  # r changes only at e's entry below, so both stay valid
                         found = caches.fixpoints(ui)
-                    for w in found:
+                        anchors = holders[eid] & earlier
+                        inside = [w for w in found if w & anchors == w]
+                    if certifier & t_mask == certifier:
+                        caches.guard_certified += 1
+                        continue
+                    for w in inside:
                         if w & t_mask == w:  # a fixpoint inside T: the guard holds
                             caches.guard_certified += 1
+                            certifier = w
                             break
                     else:
                         w = caches.comp_value(t_mask, ui)
                         if w:
                             found.append(w)
+                            inside.append(w)
+                            certifier = w
                         else:
                             dels |= kbit
             cur &= ~dels
@@ -597,7 +640,8 @@ class OperatorCaches:
         self.esets = [m if m is not None else 0 for m in graph._esets]  # by vertex index
         # (vi, es) -> [result, stamp]
         self._comp: dict[tuple[int, int], list] = {}
-        # bi -> [(fwd, back), es, stamp, the lowest stage back holds at]
+        # bi -> [(fwd, back), es, stamp, the lowest stage back holds at,
+        #        (t, s): at log length t the pair is exact for the lanes below s]
         self._lanes: dict[int, list] = {}
         self.comp_runs = 0
         self.comp_warm = 0  # the runs of comp that started from a cached result
@@ -658,25 +702,33 @@ class OperatorCaches:
         The pair is exact for every lane when stamped; a lane reads only its
         own entry inside ``es``, so the pair stays exact for the lanes of
         stages below ``stage`` while ``es`` does and their entries lose no
-        bit of it.  Otherwise the edges the passes walk that changed since
-        the stamp are those that left or joined ``es`` and those whose
-        ``holders`` changed (``r.removed_since``).  With none the pair is
-        re-stamped as it is, because later calls may ask for every lane.
-        Else fwd resumes at the lowest stage holding a changed edge, and
-        back keeps its rows of the stages at or above the highest one.
+        bit of it.  Such a pair is returned as it is, and the record notes
+        (t, s): at log length t it is exact for the lanes below stage s,
+        the highest such stage proven at t, and ``change`` reads it in place
+        while that covers its stage.  Otherwise the edges the passes walk
+        that changed since the stamp are those that left or joined ``es``
+        and those whose ``holders`` changed (``r.removed_since``).  With
+        none the pair is re-stamped as it is, because later calls may ask
+        for every lane.  Else fwd resumes at the lowest stage holding a
+        changed edge, and back keeps its rows of the stages at or above the
+        highest one.
         """
         r = self.r
         g = self.graph
+        now = len(r.log)
         rec = self._lanes.get(bi)
         if rec is None:
             tables = (
                 _forward_lanes(g, r.holders, es, bi),
                 _backward_lanes(g, r.holders, es, bi, depth=depth),
             )
-            self._lanes[bi] = [tables, es, len(r.log), depth]
+            self._lanes[bi] = [tables, es, now, depth, (now, g.stage_count + 1)]
             return tables
-        tables, old, t, top = rec  # back holds at the stages top and up
-        if old != es or r.changed_since(stage - 1, t):
+        tables, old, t, top, exact = rec  # back holds at the stages top and up
+        if old == es and not r.changed_since(stage - 1, t):
+            if exact < (now, stage):
+                rec[4] = now, stage
+        else:
             walked = g.span_mask(2, g._vstage[bi] - 1) | g._in_mask[bi]
             changed = (old ^ es | r.removed_since(t) & es) & walked
             if changed:
@@ -686,7 +738,8 @@ class OperatorCaches:
                 _forward_lanes(g, r.holders, es, bi, fwd, low)
                 top = rec[3] = max(top, estage[changed.bit_length() - 1])
                 tables = (fwd, back)
-            rec[:3] = tables, es, len(r.log)
+            rec[:3] = tables, es, now
+            rec[4] = now, g.stage_count + 1
         if depth < top:
             _backward_lanes(g, r.holders, es, bi, depth=depth, back=tables[1], top=top)
             rec[3] = depth

@@ -101,6 +101,10 @@ def zh_solve(
         )
 
     initial_bits = sum(m.bit_count() for m in entries)
+    live = 0  # the edges whose entries are nonempty
+    for eid, mask in enumerate(entries):
+        if mask:
+            live |= 1 << eid
     sweep_bound = 1 + initial_bits
     sweeps = 0
     while True:
@@ -111,15 +115,22 @@ def zh_solve(
             )
         logged = len(r.log)
         for stage in range(1, stage_limit):
-            # contract each stage edge's reachable set
-            for eid in range(stage_end[stage - 1], stage_end[stage]):
+            # contract each stage edge's reachable set; change of an empty
+            # entry returns it unchanged, so only the live ones are walked
+            first = stage_end[stage - 1]
+            m = live >> first & (1 << stage_end[stage] - first) - 1
+            while m:
+                low = m & -m
+                m ^= low
+                eid = first + low.bit_length() - 1
                 prev = entries[eid]
-                if not prev:
-                    continue  # change of an empty entry returns it unchanged
                 change(r, eid, g, caches)
                 change_calls += 1
-                if trace is not None and entries[eid] != prev:
-                    record_shrink(eid, prev)
+                if entries[eid] != prev:
+                    if not entries[eid]:
+                        live ^= 1 << eid
+                    if trace is not None:
+                        record_shrink(eid, prev)
             # contract each stage vertex's edge set; shrunken values persist
             for vi in stage_vertices[stage]:
                 if not esets[vi]:
@@ -142,16 +153,18 @@ def zh_solve(
             # step under the current map, so it is comp(esets[v], v) too.  A
             # re-limit removes only bits on no head -> v path inside comp(v),
             # so no comp(v) changes and one set of lane tables serves the stage
-            keep = None
-            for eid in range(stage_end[stage]):
+            held = (live & (1 << stage_end[stage]) - 1).bit_count()
+            if not held:
+                continue
+            limit_ops += held
+            keep, losers = limit_tables(caches, stage)
+            # every other live entry is covered by the union over its window
+            # and already tidy; losers holds live entries alone
+            while losers:
+                ebit = losers & -losers
+                losers ^= ebit
+                eid = ebit.bit_length() - 1
                 cur = entries[eid]
-                if not cur:
-                    continue
-                limit_ops += 1
-                if keep is None:
-                    keep, losers = limit_tables(caches, stage)
-                if not losers >> eid & 1:
-                    continue  # the union covers cur's window, and cur is already tidy
                 window = g.span_mask(g._estage[eid] + 1, stage)
                 kept = cur & ~window
                 m = cur & window
@@ -161,8 +174,11 @@ def zh_solve(
                     if keep[low.bit_length() - 1] >> eid & 1:
                         kept |= low
                 new = _tidy_idx(g, kept, g._eto[eid], sink_idx)
-                if r.set_entry(eid, new) and trace is not None:
-                    record_shrink(eid, cur)
+                if r.set_entry(eid, new):
+                    if not new:
+                        live ^= ebit
+                    if trace is not None:
+                        record_shrink(eid, cur)
         if len(r.log) == logged:
             break
 

@@ -13,6 +13,12 @@ change to the solver's caches or operators must leave that digest alone.
 A change that alters these outputs on purpose updates ``DIGEST`` and says
 so in CHANGES.md.  The test is skipped where networkx is not installed.
 
+``COUNTS_DIGEST`` pins the solver's work on the same corpus: one sha256 over
+every ``operator_calls`` entry and the ``edges_deleted`` value of each
+instance.  A change that only makes the solver faster must leave both
+digests alone; one that changes how much work it does on purpose updates
+``COUNTS_DIGEST`` and says so in CHANGES.md.
+
 ``GEN_DIGEST`` pins the generator the same way: one sha256 over the
 serialized ``gen_msp`` instances of the first 3,000 default campaign seeds,
 of shapes with widths of 11 or more (where ``v1_10`` sorts before ``v1_2``,
@@ -62,6 +68,7 @@ DIGEST = "637e334a870883a2a7d943f0daf979ebf6c1f7daca4fe047a3a4c06b5e1d16af"
 GEN_DIGEST = "512cc01d166180f49e1a3d8906681de3c48ab871caf80249ba81a61bc02d347f"
 CAMPAIGN_DIGEST = "3a83513aa6c6ca82fa28bba835fe70f77feb9cdb7cdf818a5738d8ed015c0d42"
 MINIMIZED_DIGEST = "f7d8f00931b8b108a7372bebfbc9bb0d3cc692685d4535cff527041509b8e539"
+COUNTS_DIGEST = "2599ae788418333d89bc592a685ff911da0ea8b5ddbb27394632ec0cea7f8855"
 
 
 def corpus():
@@ -96,6 +103,19 @@ def test_solver_outputs_match_golden_digest():
         }
         h.update(json.dumps(record, sort_keys=True).encode())
     assert h.hexdigest() == DIGEST
+
+
+def test_solver_counts_match_golden_digest():
+    h = hashlib.sha256()
+    for name, g in corpus():
+        metrics = zh_solve(g).metrics
+        record = {
+            "name": name,
+            "operator_calls": metrics.operator_calls,
+            "edges_deleted": metrics.edges_deleted,
+        }
+        h.update(json.dumps(record, sort_keys=True).encode())
+    assert h.hexdigest() == COUNTS_DIGEST
 
 
 def gen_corpus():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from msplab.lab import GenShape, gen_msp, gen_ugraph
 from msplab.model import AbnormalTerminationError, edge_ids, edge_set, validate
@@ -785,6 +787,61 @@ def test_change_reads_current_cache_records_without_a_lookup(monkeypatch):
     assert ("comp_value", bi) in calls
 
 
+def ladder(length):
+    """Stages 1 .. ``length``-1 of width two (a_k, b_k), every edge between
+    consecutive stages, every edge set full: each edge reaches the sink
+    along many routes."""
+    names = [["S"], *([f"a{k}", f"b{k}"] for k in range(1, length)), ["D"]]
+    vertices = [(name, k) for k, row in enumerate(names) for name in row]
+    edges = [(x, y, k) for k in range(1, length + 1) for x in names[k - 1] for y in names[k]]
+    return mk_graph(length, vertices, edges, {name: edges for name, k in vertices if k})
+
+
+def test_change_reads_stage_exact_lane_tables_in_place(monkeypatch):
+    """Once ``mid_tidy`` has found a pair of lane tables still exact for the
+    lanes below stage s at the current log length, ``change`` on another
+    edge of stage s reads the pair in place with no ``mid_tidy`` call.  The
+    record covers no higher stage, and a loss in an entry below s makes
+    ``change`` call ``mid_tidy`` again.  Every result equals
+    ``reference.change_ref``."""
+    g = ladder(7)
+    rg = ref.RefGraph(g)
+    r = init_all(g)
+    caches = OperatorCaches(g, r)
+    calls = []
+    real_tidy = OperatorCaches.mid_tidy
+
+    def mid_tidy(self, bi, es, stage, depth):
+        calls.append(bi)
+        return real_tidy(self, bi, es, stage, depth)
+
+    monkeypatch.setattr(OperatorCaches, "mid_tidy", mid_tidy)
+
+    def checked_change(triple):
+        eid = g.edge_id(*triple)
+        reach = {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r.entries)}
+        want = ref.change_ref(rg, reach, triple)
+        calls.clear()
+        got = change(r, eid, g, caches)
+        assert triples_of(g, got) == want == triples_of(g, r.entries[eid]), triple
+        assert got.bit_count() > 4, triple  # the routes keep members to anchor
+        return list(calls)
+
+    def thin(triple, lost):
+        eid = g.edge_id(*triple)
+        assert r.set_entry(eid, r.entries[eid] & ~mask_of(g, [lost]))
+
+    e1, e2, e3 = ("a2", "a3", 3), ("b2", "b3", 3), ("a3", "a4", 4)
+    assert checked_change(e1)  # builds a pair per head vertex, exact for every lane
+    thin(e3, ("a5", "b6", 6))  # stage 4: every lane below stage 3 stands
+    t = len(r.log)
+    assert checked_change(e1)  # proves each pair exact below stage 3 at t
+    assert checked_change(e2) == [] and len(r.log) == t  # read in place
+    assert checked_change(e3)  # the record covers no stage above 3
+    thin(("S", "a1", 1), ("a4", "b5", 5))  # a lane below stage 3 loses a bit
+    assert checked_change(e2)
+
+
 def test_change_matches_reference_on_wide_stages():
     """Shapes with a stage of width 12, where ``v1_10`` sorts, and takes its
     vertex id, before ``v1_2``: ``change`` on every edge in turn, all
@@ -1122,6 +1179,128 @@ def test_lane_passes_resume_and_extend():
             with pytest.raises(AbnormalTerminationError):
                 _backward_lanes(g, r.holders, new_es, vi, back=back, top=stage + 1)
     assert resumed > 20 and extended > 10, (resumed, extended)
+
+
+def plain_lanes(g, holders, es, vi, seed=-1, depth=1):
+    """Both lane passes as a plain walk over every edge id, one bit test per
+    edge: ``_forward_lanes(g, holders, es, vi)`` and
+    ``_backward_lanes(g, holders, es, vi, seed, depth)`` by their docstrings."""
+    vstage, estage, efrom, eto = g._vstage, g._estage, g._efrom, g._eto
+    stage = vstage[vi]
+    fwd = [g._in_mask[x] if 1 <= s < stage else 0 for x, s in enumerate(vstage)]
+    back = [0] * len(vstage)
+    back[vi] = seed
+    for f in range(g.edge_count):
+        if es >> f & 1 and 2 <= estage[f] < stage:
+            fwd[eto[f]] |= holders[f] & fwd[efrom[f]]
+    for f in reversed(range(g.edge_count)):
+        if es >> f & 1 and depth < estage[f] and (estage[f] < stage or eto[f] == vi):
+            back[efrom[f]] |= holders[f] & back[eto[f]]
+    return fwd, back
+
+
+def check_lanes_against_a_plain_walk(g, r, es, vi, seed, d0, low, top, depth, drop, thin):
+    """Fresh passes equal ``plain_lanes``.  Then ``es`` loses ``drop`` and
+    the entries lose ``thin``, both inside the stages ``low`` .. ``top``:
+    the forward table resumed at ``low`` equals a fresh plain walk, and the
+    backward table built at depth ``d0`` <= ``top`` and extended from ``top``
+    down to ``depth`` equals one on every vertex of the stages from
+    min(``depth``, ``top``) up."""
+    vstage = g._vstage
+    fwd = _forward_lanes(g, r.holders, es, vi)
+    back = _backward_lanes(g, r.holders, es, vi, seed, depth=d0)
+    want_fwd, want_back = plain_lanes(g, r.holders, es, vi, seed, d0)
+    assert fwd == want_fwd
+    assert back == want_back
+    span = g.span_mask(low, top)
+    assert drop & ~span == 0 and thin & ~span == 0
+    for eid, m in enumerate(r.entries):
+        r.set_entry(eid, m & ~thin)
+    es &= ~drop
+    want_fwd, want_back = plain_lanes(g, r.holders, es, vi, seed)
+    assert _forward_lanes(g, r.holders, es, vi, fwd, low) is fwd
+    assert fwd == want_fwd
+    got = _backward_lanes(g, r.holders, es, vi, seed, depth, back, top)
+    assert got is back
+    held = min(depth, top)
+    assert [b for b, s in zip(back, vstage) if s >= held] == [
+        b for b, s in zip(want_back, vstage) if s >= held
+    ]
+
+
+@given(st.data())
+def test_lane_passes_equal_a_plain_per_edge_walk(data):
+    """``_forward_lanes`` and ``_backward_lanes`` walk their edge mask byte by
+    byte; on drawn graphs, masks, seeds, depths and shrinks they equal a
+    plain per-edge walk, resumed forward and extended backward too.  Each
+    mask starts at a drawn bit, so its lowest set bit need not be
+    byte-aligned, and a drawn byte of it is cleared."""
+    draw = data.draw
+    if draw(st.booleans()):  # one edge per stage: each byte spans eight stages
+        g = long_chain(draw(st.integers(10, 40)))
+    else:
+        g = random_graph(
+            draw(st.integers(0, 10**6)),
+            stages=draw(st.integers(3, 7)),
+            max_width=draw(st.integers(2, 5)),
+            edge_p=draw(st.sampled_from([0.8, 0.5, 1.0])),
+            eset_p=draw(st.sampled_from([2.0, 0.6, 0.9])),
+        )
+    r = init_all(g)
+    vi = len(g._vstage) - 1 - draw(st.integers(0, len(g._vstage) - 2))  # the sink first
+    stage = g._vstage[vi]
+    es = g.full_mask if draw(st.booleans()) else draw(st.integers(0, g.full_mask))
+    es &= -1 << draw(st.integers(0, 11))  # the walk starts at any bit
+    if g.edge_count >= 24:
+        es &= ~(0xFF << 8 * draw(st.integers(1, g.edge_count // 8 - 1)))  # a zero byte inside
+    seed = draw(st.one_of(st.just(-1), st.integers(0, g.full_mask)))
+    top = stage - draw(st.integers(0, stage - 1))
+    d0 = draw(st.integers(1, top))
+    low = draw(st.integers(1, top))
+    depth = draw(st.integers(1, stage))
+    span = g.span_mask(low, top)
+    drop = draw(st.integers(0, g.full_mask)) & span
+    thin = draw(st.integers(0, g.full_mask)) & span
+    check_lanes_against_a_plain_walk(g, r, es, vi, seed, d0, low, top, depth, drop, thin)
+
+
+def test_lane_passes_equal_a_plain_per_edge_walk_on_a_wide_graph():
+    """The same check on a graph of 1,032 edges, whose masks span 129 bytes:
+    a full mask, and masks whose lowest set bit is not byte-aligned and that
+    hold runs of zero bytes, towards vertices of several stages.  On a long
+    chain each byte spans eight stages, so the order of the walk inside a
+    byte matters."""
+    import random
+
+    chain = long_chain(30)
+    r = init_all(chain)
+    for vi in (len(chain._vstage) - 1, 20):
+        for es in (chain.full_mask, chain.full_mask & ~(1 << 25), chain.full_mask & -1 << 3):
+            fresh = _forward_lanes(chain, r.holders, es, vi), _backward_lanes(chain, r.holders, es, vi)
+            assert fresh == plain_lanes(chain, r.holders, es, vi)
+
+    g = gen_msp(GenShape(9, (1,) + (12,) * 8 + (1,), 1.0, 0.9, 0))
+    assert g.edge_count > 1000
+    rnd = random.Random(11)
+    gaps = (0xFFFF << 200) | (0xFF << 480) | (0xFFFFFF << 800)  # zero bytes inside
+    masks = [g.full_mask, g.full_mask & -1 << 13 & ~gaps, rnd.getrandbits(1032) & -1 << 5 & ~gaps]
+    for es in masks[1:]:
+        low_bit = (es & -es).bit_length() - 1
+        assert low_bit % 8 and all(es >> 8 * k & 0xFF == 0 for k in (25, 26, 60, 100, 101, 102))
+    sink = len(g._vstage) - 1
+    targets = [sink, g.vertex_names().index("v5_3"), g.vertex_names().index("v8_10")]
+    checked = 0
+    for es in masks:
+        for vi in targets:
+            r = init_all(g)
+            stage = g._vstage[vi]
+            top, low = stage - 2, 3
+            drop = rnd.getrandbits(1032) & g.span_mask(low, top)
+            thin = rnd.getrandbits(1032) & g.span_mask(low, top)
+            seed = -1 if vi == sink else rnd.getrandbits(1032)
+            check_lanes_against_a_plain_walk(g, r, es, vi, seed, 2, low, top, 1, drop, thin)
+            checked += 1
+    assert checked == 9
 
 
 # -- reach map -------------------------------------------------------------
