@@ -123,9 +123,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    budget = SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     try:
-        budget.check()
+        budget = SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     except ValueError as exc:
         raise _CliFailure(EXIT_FORMAT, f"bad search budget: {exc}") from exc
     g = _load_instance(args.instance)
@@ -199,7 +198,7 @@ def _cmd_fuzz(args) -> int:
         report = run_differential(config, out_dir=out_dir, resume=args.resume)
     except OSError as exc:
         raise _CliFailure(EXIT_FILE, f"cannot write campaign output: {exc}") from exc
-    except ValueError as exc:  # the config is checked, so only a checkpoint is bad
+    except ValueError as exc:  # a built config is valid, so only a checkpoint is bad
         raise _CliFailure(EXIT_FORMAT, f"cannot resume campaign: {exc}") from exc
     if args.machine:
         print(json.dumps({"command": "fuzz", **report.comparable()}, sort_keys=True))

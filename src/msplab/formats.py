@@ -38,8 +38,10 @@ from .reduction import UndirectedGraph
 
 
 # Largest stage count of an instance and largest vertex count of an
-# undirected graph.  A graph of order 1,000 already reduces to about 10^6
-# staged vertices (0.6 GB), and a 1,000-stage chain takes the solver seconds.
+# undirected graph.  Of the graphs of order 1,000, ``reduce_hc_to_msp``
+# builds only those with at most 134 edges, all at the pivot (see
+# ``reduction.MAX_REDUCTION_BITS``): about 10^6 staged vertices, 0.6 GB.  A
+# 1,000-stage chain takes the solver seconds.
 MAX_COUNT = 1000
 
 

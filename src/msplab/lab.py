@@ -99,13 +99,15 @@ def _check_draw(widths: tuple[int, ...]) -> None:
 
 @dataclass(frozen=True)
 class GenShape:
+    """A generator shape; one ``gen_msp`` could not draw raises ``ValueError``."""
+
     stages: int
     widths: tuple[int, ...]  # length stages+1, widths[0] == widths[-1] == 1
     edge_density: float
     eset_density: float
     seed: int
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         if not 1 <= self.stages <= MAX_COUNT:
             raise ValueError(f"need 1 to {MAX_COUNT} stages")
         if len(self.widths) != self.stages + 1:
@@ -151,7 +153,6 @@ def gen_msp(shape: GenShape) -> MultistageGraph:
     (stage, name) and edges by (stage, source name, target name), and built
     once from those tables, with no sort or lookup by name.
     """
-    shape.check()
     stages, widths = shape.stages, shape.widths
     size = sum(a * b for a, b in zip(widths, widths[1:]))
     draws = _stream(shape.seed, _STREAM_EDGES).random(size)
@@ -356,6 +357,8 @@ def _float_field(token: str, what: str, lineno: int) -> float:
 
 @dataclass(frozen=True)
 class CampaignConfig:
+    """A campaign's settings; settings outside README's rules raise ``ValueError``."""
+
     instances: int = 1000
     seed: int = 0
     stages_min: int = 4
@@ -367,7 +370,7 @@ class CampaignConfig:
     workers: int = 1
     minimize_budget: int = 120
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         if self.instances < 0:
             raise ValueError("instances must be at least 0")
         if not 1 <= self.stages_min <= self.stages_max <= MAX_COUNT:
@@ -417,9 +420,7 @@ class CampaignConfig:
                 kwargs[key] = _float_field(value, key, lineno)
             else:
                 kwargs[key] = _int_field(value, key, lineno)
-        config = replace(defaults, **kwargs)
-        config.check()
-        return config
+        return replace(defaults, **kwargs)
 
 
 def shape_for_seed(config: CampaignConfig, seed: int) -> GenShape:
@@ -511,7 +512,6 @@ def counterexample_predicate(oracle_max_nodes: int):
     """Predicate that holds on a candidate counterexample: solver YES, and
     exhaustive search within ``oracle_max_nodes`` expansions NO."""
     budget = SearchBudget(max_nodes=oracle_max_nodes)
-    budget.check()
 
     def predicate(g: MultistageGraph) -> bool:
         if zh_solve(g).answer != YES:
@@ -586,11 +586,8 @@ def run_differential(
     not of the shape this function writes, raises ``ValueError``), and the
     final report is written as both a table and line-delimited records.
     Parallel and serial runs produce identical reports because instances
-    are independent and merged in seed order.  A config that fails
-    :meth:`CampaignConfig.check` raises ``ValueError`` before anything is
-    written.
+    are independent and merged in seed order.
     """
-    config.check()
     started = time.perf_counter()
     out_path = Path(out_dir) if out_dir is not None else None
     config_echo = {

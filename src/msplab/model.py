@@ -37,8 +37,11 @@ class AbnormalTerminationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     violations: tuple[tuple[str, str, str], ...]  # (code, location, message)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def edge_set(ids: Iterable[int]) -> EdgeSet:
@@ -343,4 +346,4 @@ def validate(g: MultistageGraph) -> ValidationReport:
                 )
         elif g._esets[i] is None:
             violations.append(("MISSING_ESET", f"vertex {name}", "vertex has no edge set"))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(tuple(violations))

@@ -32,10 +32,12 @@ class PathStructureError(ValueError):
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """A search's caps; caps that could not search raise ``ValueError``."""
+
     max_nodes: int = DEFAULT_MAX_NODES
     max_seconds: float | None = None
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be at least 1")
         if self.max_seconds is not None and not self.max_seconds >= 0:
@@ -81,11 +83,8 @@ def verify_simple_path(g: MultistageGraph, path: Sequence[str]) -> bool:
 def oracle_simple_path(
     g: MultistageGraph, budget: SearchBudget | None = None
 ) -> OracleResult:
-    """Exhaustive simple-path search, first witness in ascending edge-id order.
-
-    Raises ``ValueError`` if ``budget`` fails :meth:`SearchBudget.check`."""
+    """Exhaustive simple-path search, first witness in ascending edge-id order."""
     budget = budget or SearchBudget()
-    budget.check()
     report = validate(g)
     if not report.ok:
         raise InvalidGraphError(report)
@@ -142,11 +141,8 @@ def verify_hamilton_circuit(ug: UndirectedGraph, circuit) -> bool:
 
 
 def oracle_hamilton(ug: UndirectedGraph, budget: SearchBudget | None = None) -> OracleResult:
-    """Backtracking Hamilton-circuit search anchored at the lowest vertex.
-
-    Raises ``ValueError`` if ``budget`` fails :meth:`SearchBudget.check`."""
+    """Backtracking Hamilton-circuit search anchored at the lowest vertex."""
     budget = budget or SearchBudget()
-    budget.check()
     deadline = None if budget.max_seconds is None else time.perf_counter() + budget.max_seconds
     expanded = 0
     if ug.n < 3:

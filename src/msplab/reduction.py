@@ -17,6 +17,13 @@ from typing import Sequence
 
 from .model import AbnormalTerminationError, EdgeTriple, MultistageGraph
 
+# Largest reduction built, in edge-set bits: each of the (n-1)^2 internal
+# vertices holds a mask as wide as the reduction's edge count, 32 MiB of
+# masks at the cap.  J9 (order 36) needs 4.3M bits, the Tutte graph (order
+# 46) 11.8M and K_20 2.2M; K_50 needs 2.7 * 10^8, and a cycle passes up to
+# order 109.
+MAX_REDUCTION_BITS = 1 << 28
+
 
 class ReductionError(ValueError):
     pass
@@ -72,6 +79,13 @@ def _staged_name(u: int, stage: int) -> str:
     return f"{u}@{stage}"
 
 
+def _staged_edge_count(ug: UndirectedGraph, pivot: int) -> int:
+    """Edges of the reduction: two per pivot edge (stages 1 and n) and two
+    per other edge at each of the n - 2 inner stages."""
+    deg = sum(pivot in e for e in ug.edges)
+    return 2 * deg + 2 * (ug.n - 2) * (len(ug.edges) - deg)
+
+
 def reduce_hc_to_msp(
     ug: UndirectedGraph, pivot: int | None = None
 ) -> tuple[MultistageGraph, ReductionMap]:
@@ -79,7 +93,8 @@ def reduce_hc_to_msp(
 
     The pivot defaults to the lowest-numbered vertex.  Requires n >= 3 (no
     shorter circuit exists).  The result has (n-1)^2 internal vertices and at
-    most 2*n^3 edges.
+    most 2*n^3 edges; one whose edge sets would need more than
+    ``MAX_REDUCTION_BITS`` bits is refused before anything is built.
     """
     n = ug.n
     if n < 3:
@@ -88,6 +103,11 @@ def reduce_hc_to_msp(
         pivot = ug.vertices()[0]
     if not (1 <= pivot <= n):
         raise ReductionError(f"pivot {pivot} not a vertex")
+    bits = (n - 1) ** 2 * _staged_edge_count(ug, pivot)
+    if bits > MAX_REDUCTION_BITS:
+        raise ReductionError(
+            f"reduction of order {n} needs {bits:,} edge-set bits, over {MAX_REDUCTION_BITS:,}"
+        )
 
     stages = n
     others = [u for u in ug.vertices() if u != pivot]

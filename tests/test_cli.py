@@ -140,6 +140,17 @@ def test_reduce_bad_pivot_or_graph_exits_format_error(capsys, tmp_path, graph, a
     assert message in err and out == ""
 
 
+def test_reduce_refuses_an_oversize_reduction(capsys, tmp_path):
+    """K_60 would reduce to 3,481 internal vertices with 198,594-bit edge
+    sets; the reduction refuses it before building it, as a format error."""
+    path, target = tmp_path / "k60.graph", tmp_path / "k60.msp"
+    path.write_text("".join(f"{a} {b}\n" for a in range(1, 61) for b in range(a + 1, 61)))
+    status, out, err = run_cli(capsys, "reduce", str(path), "-o", str(target))
+    assert status == EXIT_FORMAT
+    assert "edge-set bits, over 268,435,456" in err
+    assert out == "" and not target.exists()
+
+
 def test_instance_read_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO((FIXTURES / "chain_c.msp").read_text()))
     status, out, _ = run_cli(capsys, "solve", "-")

@@ -36,6 +36,7 @@ from msplab.oracle import SearchBudget, oracle_hamilton, oracle_simple_path
 from msplab.reduction import UndirectedGraph, reduce_hc_to_msp
 from msplab.zh import InvalidGraphError, zh_solve
 
+from . import reference as ref
 from .conftest import CHAIN_EDGES, CHAIN_VERTICES, mk_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -83,9 +84,10 @@ def test_density_zero_means_no_everywhere():
 
 @pytest.mark.parametrize("density", [-0.1, 1.5, float("nan")])
 def test_densities_outside_the_unit_interval_rejected(density):
-    for shape in (replace(small_shape(0), edge_density=density), small_shape(0, density)):
+    makers = (lambda: replace(small_shape(0), edge_density=density), lambda: small_shape(0, density))
+    for make in makers:
         with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
-            gen_msp(shape)
+            make()
     with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
         gen_ugraph(5, density, 0)
 
@@ -117,7 +119,6 @@ def fresh_stream(seed: int, stream: int) -> np.random.Generator:
 def set_based_gen_msp(shape: GenShape) -> MultistageGraph:
     """The generator written over name sets and candidate triples, kept as
     the oracle that the mask-based ``gen_msp`` must match byte for byte."""
-    shape.check()
     stages = shape.stages
     names: list[list[str]] = []
     for stage, width in enumerate(shape.widths):
@@ -329,35 +330,35 @@ def test_no_path_draws_share_one_bare_graph():
 
 def test_unsatisfiable_shape_rejected():
     with pytest.raises(ValueError, match="zero-width"):
-        GenShape(3, (1, 0, 2, 1), 0.5, 0.5, seed=1).check()
+        GenShape(3, (1, 0, 2, 1), 0.5, 0.5, seed=1)
     with pytest.raises(ValueError):
-        GenShape(3, (1, 2, 1), 0.5, 0.5, seed=1).check()
+        GenShape(3, (1, 2, 1), 0.5, 0.5, seed=1)
     with pytest.raises(ValueError):
-        GenShape(3, (2, 1, 1, 1), 0.5, 0.5, seed=1).check()
+        GenShape(3, (2, 1, 1, 1), 0.5, 0.5, seed=1)
 
 
 def test_shape_check_reports_a_zero_width_before_an_oversize_one():
-    """``GenShape.check`` tests the widths' minimum before their maximum."""
+    """A ``GenShape`` tests the widths' minimum before their maximum."""
     with pytest.raises(ValueError, match="zero-width"):
-        GenShape(3, (1, 0, MAX_COUNT + 1, 1), 0.5, 0.5, seed=1).check()
+        GenShape(3, (1, 0, MAX_COUNT + 1, 1), 0.5, 0.5, seed=1)
     with pytest.raises(ValueError, match=f"at most {MAX_COUNT}"):
-        GenShape(3, (1, 2, MAX_COUNT + 1, 1), 0.5, 0.5, seed=1).check()
+        GenShape(3, (1, 2, MAX_COUNT + 1, 1), 0.5, 0.5, seed=1)
 
 
 def test_generators_stop_at_the_parsers_limit():
     """A count above ``formats.MAX_COUNT`` would make a file the parsers
     reject with E_TOO_LARGE, so the generators and campaigns refuse it."""
-    GenShape(MAX_COUNT, (1,) * (MAX_COUNT + 1), 0.5, 0.5, seed=1).check()
-    GenShape(2, (1, MAX_COUNT, 1), 0.5, 0.5, seed=1).check()
-    CampaignConfig(stages_max=MAX_COUNT, width_max=1).check()
-    CampaignConfig(stages_min=1, stages_max=2, width_max=MAX_COUNT).check()
+    GenShape(MAX_COUNT, (1,) * (MAX_COUNT + 1), 0.5, 0.5, seed=1)
+    GenShape(2, (1, MAX_COUNT, 1), 0.5, 0.5, seed=1)
+    CampaignConfig(stages_max=MAX_COUNT, width_max=1)
+    CampaignConfig(stages_min=1, stages_max=2, width_max=MAX_COUNT)
     too_many = [
-        lambda: GenShape(MAX_COUNT + 1, (1,) * (MAX_COUNT + 2), 0.5, 0.5, seed=1).check(),
-        lambda: GenShape(2, (1, MAX_COUNT + 1, 1), 0.5, 0.5, seed=1).check(),
+        lambda: GenShape(MAX_COUNT + 1, (1,) * (MAX_COUNT + 2), 0.5, 0.5, seed=1),
+        lambda: GenShape(2, (1, MAX_COUNT + 1, 1), 0.5, 0.5, seed=1),
         lambda: gen_msp(GenShape(2, (1, 10**8, 1), 0.5, 0.5, seed=1)),
         lambda: gen_ugraph(MAX_COUNT + 1, 0.5, 0),
-        lambda: CampaignConfig(stages_max=MAX_COUNT + 1).check(),
-        lambda: CampaignConfig(width_max=10**9).check(),
+        lambda: CampaignConfig(stages_max=MAX_COUNT + 1),
+        lambda: CampaignConfig(width_max=10**9),
     ]
     for make in too_many:
         with pytest.raises(ValueError, match=str(MAX_COUNT)):
@@ -371,13 +372,31 @@ def test_generator_draw_is_capped():
     assert 1001 * 2000 <= lab.MAX_DRAW_CELLS  # (1, MAX_COUNT, 1) passes above
     for make in [
         lambda: gen_msp(GenShape(3, (1, MAX_COUNT, MAX_COUNT, 1), 0.5, 0.5, seed=1)),
-        lambda: CampaignConfig(stages_max=MAX_COUNT, width_max=MAX_COUNT).check(),
+        lambda: CampaignConfig(stages_max=MAX_COUNT, width_max=MAX_COUNT),
         # widths (1, 6 x 140, 1): 841 vertices x 5,016 edges
-        lambda: CampaignConfig(stages_max=141, width_max=6).check(),
+        lambda: CampaignConfig(stages_max=141, width_max=6),
     ]:
         with pytest.raises(ValueError, match="cells exceeds"):
             make()
-    CampaignConfig(stages_max=140, width_max=6).check()  # 835 x 4,980 cells
+    CampaignConfig(stages_max=140, width_max=6)  # 835 x 4,980 cells
+
+
+@pytest.mark.parametrize(
+    "value, bad, message",
+    [
+        (small_shape(0), {"widths": (1, 3, 1)}, "widths must have length 5"),
+        (small_shape(0), {"stages": 0}, "need 1 to"),
+        (CampaignConfig(), {"instances": -1}, "instances must be at least 0"),
+        (CampaignConfig(), {"stages_min": 13}, "stages_min <= stages_max"),
+        (CampaignConfig(), {"workers": 0}, "workers must be at least 1"),
+    ],
+)
+def test_values_recheck_their_fields_under_replace(value, bad, message):
+    """``dataclasses.replace`` builds a new value, so it meets the same
+    checks as the constructor, and a value that exists is valid (densities
+    and budgets are checked the same way in their own tests)."""
+    with pytest.raises(ValueError, match=message):
+        replace(value, **bad)
 
 
 def test_gen_ugraph_extremes_and_determinism():
@@ -436,6 +455,18 @@ def test_j5_finding_is_a_candidate_counterexample():
     oracle_answer = oracle_simple_path(g).answer
     assert (zh_answer, oracle_answer) == ("YES", "NO")
     assert classify(zh_answer, oracle_answer) == CANDIDATE_COUNTEREXAMPLE
+
+
+def test_j5_finding_holds_under_the_literal_operators():
+    """``tests/reference.py``'s literal transcription, with no mask, cache
+    or lane table, also says YES on the pinned J5 finding, with the same
+    81-edge final set as ``zh_solve`` (about 10 s)."""
+    g = parse_instance((FIXTURES / "j5_a0_sink81.msp").read_text())
+    result = zh_solve(g)
+    answer, final = ref.zh_ref(ref.RefGraph(g))
+    assert answer == result.answer == "YES"
+    assert final == {g.edge_triple(e) for e in edge_ids(result.final_comp_ed)}
+    assert len(final) == 81
 
 
 def test_j5_pivot_a0_fails_self_reduction():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from msplab.model import (
     GraphStructureError,
     MultistageGraph,
+    ValidationReport,
     edge_ids,
     edge_set,
     validate,
@@ -23,6 +25,14 @@ def test_minimal_legal_graph_validates(chain_c):
     assert report.violations == ()
     assert chain_c.source_name() == "S"
     assert chain_c.sink_name() == "D"
+
+
+def test_validation_report_is_ok_exactly_when_it_lists_nothing():
+    """``ok`` is read off ``violations``, so a report cannot say ok while
+    it lists a violation."""
+    assert [f.name for f in fields(ValidationReport)] == ["violations"]
+    assert ValidationReport(()).ok
+    assert not ValidationReport((("NO_SINK", "stage 3", "final stage has no vertex"),)).ok
 
 
 def test_two_sources_reported():

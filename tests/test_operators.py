@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msplab.lab import GenShape, gen_msp, gen_ugraph
@@ -1437,6 +1437,85 @@ def test_comp_is_monotone_in_the_edge_set_and_the_reachable_sets():
                 compared += bool(low)
                 strict += low != high
     assert compared > 100 and strict > 30
+
+
+def sweep_ref(rg, reach, esets):
+    """One sweep of ``reference.zh_ref``'s loop body from the state
+    (``reach``, ``esets``), composed from ``change_ref``, ``comp_ref``,
+    ``tidy_ref`` and ``slice_ref`` exactly as ``zh_ref`` composes them; the
+    inputs are left untouched."""
+    reach, esets = dict(reach), dict(esets)
+    for stage in range(1, rg.stages):
+        for e in rg.edges:
+            if e[2] == stage:
+                ref.change_ref(rg, reach, e, esets)
+        for v in rg.by_stage[stage]:
+            esets[v] = ref.comp_ref(rg, esets[v], v, reach)
+        for e in rg.edges:
+            if e[2] > stage:
+                continue
+            union: set = set()
+            for v in rg.by_stage[stage]:
+                contracted = ref.comp_ref(rg, esets[v], v, reach)
+                union |= ref.tidy_ref(rg, reach[e] & contracted, e[1], v)
+            kept = (reach[e] - ref.slice_ref(rg, reach[e], e[2] + 1, stage)) | ref.slice_ref(
+                rg, frozenset(union), e[2] + 1, stage
+            )
+            reach[e] = ref.tidy_ref(rg, kept, e[1], rg.sink)
+    return reach, esets
+
+
+def state_cells(reach, esets):
+    """The members of a state's entries and edge sets, as (part, key, member)."""
+    return {("reach", k, t) for k, ts in reach.items() for t in ts} | {
+        ("eset", k, t) for k, ts in esets.items() for t in ts
+    }
+
+
+def state_of(cells, reach, esets):
+    """``(reach, esets)`` cut down to ``cells``."""
+    return tuple(
+        {k: frozenset(t for t in ts if (part, k, t) in cells) for k, ts in state.items()}
+        for part, state in (("reach", reach), ("eset", esets))
+    )
+
+
+def test_the_reference_sweep_is_monotone():
+    """X <= Y <= (init_all_ref, the graph's edge sets) gives sweep(X) <=
+    sweep(Y), entry by entry and edge set by edge set, for one sweep of the
+    literal step: the assumption under warm starts and fixpoint
+    certificates (Tarski, Pacific J. Math. 5(2), 1955).  Y thins the top
+    state, and X drops one to three members of Y.  Some draws must give a
+    strictly smaller sweep(X), and some a difference beyond the members
+    dropped, or the check would be vacuous."""
+    seen = {"strict": 0, "beyond": 0}
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def compare_sweeps(data):
+        draw = data.draw
+        g = random_graph(  # dense edge sets, so a dropped member can propagate
+            draw(st.integers(0, 10**6)),
+            stages=draw(st.integers(3, 5)),
+            max_width=draw(st.sampled_from([3, 4])),
+            eset_p=draw(st.sampled_from([0.9, 1.0])),
+        )
+        rg = ref.RefGraph(g)
+        top = (ref.init_all_ref(rg), dict(rg.esets))
+        rnd = draw(st.randoms(use_true_random=False))
+        keep = draw(st.sampled_from([1.0, 0.9, 0.7]))
+        y_cells = {c for c in sorted(state_cells(*top)) if rnd.random() < keep}
+        x_cells = y_cells - set(rnd.sample(sorted(y_cells), min(len(y_cells), rnd.randint(1, 3))))
+        y, x = state_of(y_cells, *top), state_of(x_cells, *top)
+        low, high = sweep_ref(rg, *x), sweep_ref(rg, *y)
+        for low_part, high_part in zip(low, high):
+            for k, ts in low_part.items():
+                assert ts <= high_part[k], (g, k)
+        seen["strict"] += low != high
+        seen["beyond"] += state_cells(*low) != state_cells(*high) & x_cells
+
+    compare_sweeps()
+    assert seen["strict"] > 100 and seen["beyond"] > 20, seen
 
 
 def test_reachable_sets_stay_tidy_through_the_solver(monkeypatch):

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import msplab
 
@@ -20,3 +23,15 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_console_scripts_resolve_to_callables():
+    """The tests run from the source tree, so nothing else checks that each
+    ``[project.scripts]`` target in ``pyproject.toml`` names a callable."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"msplab": "msplab.cli:main"}
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import time
+from pathlib import Path
 
 import pytest
 
+from msplab.formats import parse_ugraph
+from msplab.lab import gen_ugraph
 from msplab.model import validate
 from msplab.oracle import (
     YES,
@@ -13,10 +17,12 @@ from msplab.oracle import (
     verify_simple_path,
 )
 from msplab.reduction import (
+    MAX_REDUCTION_BITS,
     LiftError,
     ReductionError,
     UndirectedGraph,
     lift_path,
+    _staged_edge_count,
     reduce_hc_to_msp,
 )
 
@@ -69,6 +75,38 @@ def test_internal_vertex_count_formula():
         assert g.vertex_count() == (n - 1) * (n - 1) + 2
         assert g.edge_count <= 2 * n**3
         assert rmap.stats["edges"] == g.edge_count
+
+
+def complete_graph(n):
+    return UndirectedGraph.from_pairs(n, itertools.combinations(range(1, n + 1), 2))
+
+
+def test_staged_edge_count_matches_the_built_reductions():
+    """The size check's edge count is the built graph's, on the golden
+    corpus's reductions and on J5's (978 edges)."""
+    nx = pytest.importorskip("networkx")
+    cases = [(gen_ugraph(n, 0.5, s), p) for n in range(4, 8) for s in range(4) for p in (1, n)]
+    for n in (5, 6):
+        gp = nx.generalized_petersen_graph(n, 2)
+        cases.append((UndirectedGraph.from_pairs(2 * n, ((u + 1, v + 1) for u, v in gp.edges)), 1))
+    j5 = parse_ugraph((Path(__file__).parent / "fixtures" / "j5.graph").read_text())
+    cases.append((j5, 1))
+    for ug, pivot in cases:
+        assert _staged_edge_count(ug, pivot) == reduce_hc_to_msp(ug, pivot)[0].edge_count
+    assert _staged_edge_count(j5, 1) == 978
+
+
+def test_oversize_reductions_refused_before_building():
+    """K_20 (2.2M edge-set bits) reduces; K_50 (2.7 * 10^8) and K_1000
+    (about 10^15, which would exhaust memory) are refused at once."""
+    assert 19**2 * reduce_hc_to_msp(complete_graph(20))[0].edge_count <= MAX_REDUCTION_BITS
+    with pytest.raises(ReductionError, match="271,298,594 edge-set bits"):
+        reduce_hc_to_msp(complete_graph(50))
+    k1000 = complete_graph(1000)
+    started = time.perf_counter()
+    with pytest.raises(ReductionError, match="edge-set bits"):
+        reduce_hc_to_msp(k1000)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_small_orders_rejected():
