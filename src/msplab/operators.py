@@ -1,7 +1,13 @@
 """The four basic set operators of the staged fixpoint solver.
 
 * ``tidy(es, u, v)`` restricts an edge set to the edges lying on at least one
-  u -> v path whose edges all stay inside the set.
+  u -> v path whose edges all stay inside the set.  A set that was tidy and
+  has lost some edges is re-tidied by peeling (``_trim``), which checks
+  only the ends of the removed edges and of the edges that go after them.
+  Only a tidy whose input was tidy before its deletions may peel:
+  ``comp``'s after a sweep that deletes, ``change``'s from its second sweep
+  on and the solver's re-limit step.  ``comp``'s cold start and
+  ``change``'s first sweep tidy in full, since their input may be untidy.
 * ``init_all`` seeds the per-edge reachable sets: for an edge e, the edges
   of every e.dst -> sink path along which both endpoints of each visited
   edge carry e in their edge sets.  With every edge e as a bit lane, one
@@ -24,8 +30,9 @@
   alone (semi-naive evaluation, Bancilhon & Ramakrishnan, SIGMOD 1986).
   Every fixpoint of the step is tidy, so a cold run starts from the tidy of
   its edge set from the source to the target; the working set is then
-  always tidy, a sweep that deletes nothing skips the tidy step, and an
-  empty working set is returned at once, with no lane pass.
+  always tidy, a sweep that deletes nothing skips the tidy step, one that
+  deletes peels, and an empty working set is returned at once, with no
+  lane pass.
 * ``change`` contracts one reachable set against all the others until stable.
   Its anchors come from lane tables: for a target vertex b and edge set es,
   one forward and one backward pass over ``holders`` with every edge ec as
@@ -127,6 +134,49 @@ def _tidy_idx(g: MultistageGraph, es: int, ui: int, vi: int) -> int:
         return 0
     in_acc = _reach(g, es, vi, range(sv - 1, su - 1, -1), g._out_mask, in_mask)
     return es & out_acc & in_acc
+
+
+def _trim(g: MultistageGraph, es: int, removed: int, ui: int, vi: int) -> int:
+    """tidy(``es``, ui, vi), given that ``es | removed`` is tidy from ui to
+    vi and ``es & removed`` is empty, by peeling.
+
+    In a DAG, an edge lies on a ui -> vi path iff its tail is ui or has an
+    in-edge on one and its head is vi or has an out-edge on one.  In a tidy
+    set every vertex but ui and vi has both, so after a deletion only the
+    ends of the removed edges can lose one: a head x != vi left with no
+    in-edge loses its out-edges, a tail y != ui left with no out-edge its
+    in-edges, and those edges are removed in turn (Italiano, IPL 28(1),
+    1988).  Each edge enters the worklist at most once.
+
+    It first returns 0 when ``es`` keeps no edge out of ui or none into vi.
+    The full tidy finds that empty result in one step, where peeling would
+    take the set apart edge by edge, and after a deleting ``comp`` sweep
+    most tidies end empty (4,942 of 5,362 on the first 3,000 default
+    campaign seeds, whose ``zh_solve`` time is 5% higher without this
+    exit).
+    """
+    out_mask = g._out_mask
+    in_mask = g._in_mask
+    if not es & out_mask[ui] or not es & in_mask[vi]:
+        return 0
+    efrom = g._efrom
+    eto = g._eto
+    work = removed
+    while work:
+        low = work & -work
+        work ^= low
+        f = low.bit_length() - 1
+        x = eto[f]
+        if x != vi and not es & in_mask[x]:
+            drop = es & out_mask[x]
+            es ^= drop
+            work |= drop
+        y = efrom[f]
+        if y != ui and not es & out_mask[y]:
+            drop = es & in_mask[y]
+            es ^= drop
+            work |= drop
+    return es
 
 
 def _forward_lanes(
@@ -250,14 +300,20 @@ def tidy(es: EdgeSet, u: str, v: str, g: MultistageGraph) -> EdgeSet:
 
 def _transpose(masks: list[int]) -> list[int]:
     """out[f]: the indices i whose ``masks[i]`` holds bit f, for a map from
-    edges to edge sets."""
+    edges to edge sets.  Each mask is walked byte by byte from its lowest set
+    bit, as the lane passes walk theirs."""
     out = [0] * len(masks)
     for i, mask in enumerate(masks):
+        if not mask:
+            continue
         ibit = 1 << i
-        while mask:
-            low = mask & -mask
-            out[low.bit_length() - 1] |= ibit
-            mask ^= low
+        f0 = (mask & -mask).bit_length() - 1
+        mask >>= f0
+        for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+            if byte:
+                for j in _BYTE_BITS[byte]:
+                    out[f0 + j] |= ibit
+            f0 += 8
     return out
 
 
@@ -381,7 +437,10 @@ def comp(
     is where it begins instead: a subset of ``es``, tidy from the source to
     ``v``, that holds the result, such as that tidy or an earlier result
     for the same ``es`` and ``v`` under reachable sets that have only
-    shrunk since.
+    shrunk since.  A sweep that deletes re-tidies the working set by
+    peeling off what its deletions cut (``_trim``), which is exact only
+    because the set it deleted from was tidy: the peel relies on ``start``
+    being tidy.
 
     ``lanes``, if given, is a subset of ``start``: the members whose
     reachable sets may have lost a bit inside ``start`` since it was
@@ -438,7 +497,7 @@ def comp(
             passed |= heads & val[x]
         working &= ~lanes | passed  # untested members stay
         if working != before:  # the working set starts tidy, and tidy is idempotent
-            working = _tidy_idx(g, working, src, vi)
+            working = _trim(g, working, before & ~working, src, vi)
         if working == before or not working:
             if working & ~es:
                 raise AbnormalTerminationError("comp grew its input edge set")
@@ -465,8 +524,11 @@ def change(
     results.  Every T lies inside e's anchors, ``holders[eid]`` cut to the
     stages below e's, so only the results inside them are tried, the one
     that answered the last guard first.  After each sweep the set is tidied
-    from e's head to the sink.  Repeats until stable and writes the result
-    back into ``r``.
+    from e's head to the sink: in full after sweep 1, since the entry may be
+    untidy, and by peeling off what the sweep's deletions cut after later
+    sweeps, which start from the last sweep's tidy result (``_trim``); a
+    later sweep that deletes nothing ends the call.  Repeats until stable
+    and writes the result back into ``r``.
 
     A sweep walks the head vertices b of the members in index order and
     takes each one's members as the mask ``cands & in_mask[b]``.  A group
@@ -516,10 +578,10 @@ def change(
             raise AbnormalTerminationError(f"change exceeded {bound} sweeps")
         before = cur
         cands = cur & later
+        dels = 0
         if cands:
             now = len(log)  # r changes only at e's entry below
             exact = (now, stage)  # a lane record (t, s) at least this has t = now, s >= stage
-            dels = 0
             # the head vertices in index order; vertex indices ascend by stage
             first = stage_vertices[estage[(cands & -cands).bit_length() - 1]][0]
             last = stage_vertices[estage[cands.bit_length() - 1]][-1]
@@ -575,8 +637,10 @@ def change(
                             certifier = w
                         else:
                             dels |= kbit
-            cur &= ~dels
-        cur = _tidy_idx(g, cur, vi, sink)
+        if sweeps == 1:  # the entry may be untidy
+            cur = _tidy_idx(g, cur & ~dels, vi, sink)
+        elif dels:  # the last sweep left cur tidy
+            cur = _trim(g, cur & ~dels, dels, vi, sink)
         if cur == before:
             return cur
         r.set_entry(eid, cur)

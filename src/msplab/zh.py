@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .model import AbnormalTerminationError, EdgeSet, MultistageGraph, edge_ids, validate
-from .operators import OperatorCaches, _tidy_idx, change, init_all
+from .operators import OperatorCaches, _trim, change, init_all
 
 YES = "YES"
 NO = "NO"
@@ -159,7 +159,8 @@ def zh_solve(
             limit_ops += held
             keep, losers = limit_tables(caches, stage)
             # every other live entry is covered by the union over its window
-            # and already tidy; losers holds live entries alone
+            # and already tidy; losers holds live entries alone, each tidy,
+            # so the re-limit peels off only what its lost bits cut
             while losers:
                 ebit = losers & -losers
                 losers ^= ebit
@@ -173,7 +174,7 @@ def zh_solve(
                     m ^= low
                     if keep[low.bit_length() - 1] >> eid & 1:
                         kept |= low
-                new = _tidy_idx(g, kept, g._eto[eid], sink_idx)
+                new = _trim(g, kept, cur & ~kept, g._eto[eid], sink_idx)
                 if r.set_entry(eid, new):
                     if not new:
                         live ^= ebit

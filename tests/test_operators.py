@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,9 @@ from msplab.operators import (
     ReachMap,
     _backward_lanes,
     _forward_lanes,
+    _tidy_idx,
+    _transpose,
+    _trim,
     change,
     comp,
     init_all,
@@ -23,6 +27,8 @@ from msplab.reduction import reduce_hc_to_msp
 
 from . import reference as ref
 from .conftest import CHAIN_EDGES, CHAIN_VERTICES, E1, E2, E3, mk_graph, random_graph
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def triples_of(g, mask):
@@ -114,6 +120,43 @@ def test_tidy_contraction_and_idempotence():
         once = tidy(es, "S", "D", g)
         assert once & ~es == 0
         assert tidy(once, "S", "D", g) == once
+
+
+@given(st.data())
+def test_trim_equals_a_full_tidy(data):
+    """Peeling a tidy set S after removing R from it gives the full tidy of
+    S & ~R: from the source to the sink and between inner vertices, with R
+    a drawn subset of S, every edge out of ui, every edge into vi, a whole
+    stage, or S itself."""
+    draw = data.draw
+    if draw(st.booleans()):  # one edge per stage: every removal cuts the chain
+        g = long_chain(draw(st.integers(10, 40)))
+    else:
+        g = random_graph(
+            draw(st.integers(0, 10**6)),
+            stages=draw(st.integers(3, 7)),
+            max_width=draw(st.integers(2, 5)),
+            edge_p=draw(st.sampled_from([0.8, 0.5, 1.0])),
+        )
+    last = len(g._vstage) - 1
+    if draw(st.booleans()):
+        ui, vi = 0, last
+    else:
+        ui, vi = sorted(draw(st.lists(st.integers(0, last), min_size=2, max_size=2)))
+    es = g.full_mask if draw(st.booleans()) else draw(st.integers(0, g.full_mask))
+    s = _tidy_idx(g, es, ui, vi)
+    removed = draw(st.integers(0, g.full_mask)) & s
+    case = draw(st.sampled_from(["subset", "out of ui", "into vi", "stage", "all"]))
+    if case == "out of ui":
+        removed |= s & g._out_mask[ui]
+    elif case == "into vi":
+        removed |= s & g._in_mask[vi]
+    elif case == "stage":
+        k = draw(st.integers(1, g.stage_count))
+        removed |= s & g.span_mask(k, k)
+    elif case == "all":
+        removed = s
+    assert _trim(g, s & ~removed, removed, ui, vi) == _tidy_idx(g, s & ~removed, ui, vi)
 
 
 # -- init ------------------------------------------------------------------
@@ -1360,6 +1403,28 @@ def test_reachmap_is_built_from_holders_alone():
             ReachMap(holders, g._estage)
 
 
+def test_transpose_walks_wide_masks_byte_by_byte():
+    """``_transpose`` walks each mask byte by byte from its lowest set bit;
+    on a 1,032-edge map, masks full, holding runs of zero bytes, starting
+    off a byte boundary and ending off one, it equals a per-bit transpose."""
+    import random
+
+    g = gen_msp(GenShape(9, (1,) + (12,) * 8 + (1,), 1.0, 0.9, 0))
+    m = g.edge_count
+    assert m > 1000
+    rnd = random.Random(5)
+    gaps = (0xFFFF << 200) | (0xFF << 480) | (0xFFFFFF << 800)  # zero bytes inside
+    masks = [g.full_mask, g.full_mask & ~gaps, 0, 1 << m - 1, 0b101 << 9]
+    masks += [rnd.getrandbits(m) & -1 << rnd.randrange(1, 20) & ~gaps for _ in range(m - 6)]
+    masks.append(g.full_mask >> 3)
+    assert len(masks) == m
+    ends = {mask.bit_length() % 8 for mask in masks if mask}
+    assert ends - {0}
+    assert _transpose(masks) == transpose(masks)
+    holders = init_all(g).holders
+    assert _transpose(_transpose(holders)) == holders
+
+
 def test_reachmap_rejects_growth(chain_c):
     r = init_all(chain_c)
     with pytest.raises(AbnormalTerminationError):
@@ -1557,3 +1622,35 @@ def test_reachable_sets_stay_tidy_through_the_solver(monkeypatch):
     for g in graphs:
         assert untidy(g, zh.zh_solve(g).reach) == []
     assert calls.count(1) > 40 and len(calls) > 400
+
+
+def test_every_trim_meets_its_precondition(monkeypatch):
+    """Each peel inside ``zh_solve`` (``comp`` after a deleting sweep,
+    ``change`` from its second sweep on, the re-limit step) starts from a
+    set that was tidy before its removed edges left, and returns the full
+    tidy of what is left."""
+    from msplab import operators, zh
+    from msplab.formats import parse_instance
+
+    real_trim = operators._trim
+    sites = {}
+
+    def checked_trim(g, es, removed, ui, vi):
+        assert es & removed == 0
+        assert _tidy_idx(g, es | removed, ui, vi) == es | removed
+        result = real_trim(g, es, removed, ui, vi)
+        assert result == _tidy_idx(g, es, ui, vi)
+        site = sys._getframe(1).f_code.co_name
+        sites[site] = sites.get(site, 0) + 1
+        return result
+
+    monkeypatch.setattr(operators, "_trim", checked_trim)
+    monkeypatch.setattr(zh, "_trim", checked_trim)
+    graphs = [random_graph(seed, stages=3 + seed % 4, edge_p=1.0, eset_p=0.9) for seed in range(20)]
+    # two of the few small graphs on which a change sweep after the first deletes
+    graphs += [random_graph(seed, 8, 5, 0.7, 0.95) for seed in (135, 163)]
+    graphs += [reduce_hc_to_msp(gen_ugraph(n, 0.6, seed))[0] for n in (5, 6) for seed in range(3)]
+    graphs += [long_chain(50), parse_instance((FIXTURES / "j5_a0_sink81.msp").read_text())]
+    for g in graphs:
+        zh.zh_solve(g)
+    assert sites["comp"] > 300 and sites["zh_solve"] > 50 and sites["change"] >= 2, sites
