@@ -79,11 +79,13 @@ Deletions inside each fixpoint sweep are collected and applied at sweep end
 (ascending edge-id order), so results do not depend on iteration order.
 ``change`` writes its result back into the reachable map; the other
 operators are pure functions of their inputs.  ``OperatorCaches`` holds a
-solver run's per-vertex edge sets and the caches above.  Each cache record
-reads the entries only inside a set it holds, so it is judged stale by the
-bits those entries lost inside that set (``ReachMap.lost_within``), the
-semi-naive rule applied to the record itself: a shrink that misses the set
-leaves the record exact.
+solver run's per-vertex edge sets and the caches above.  The length of the
+map's change log is the one clock: a record stamped with the current length
+is current.  Each cache record reads the entries only inside a set it
+holds, so any other record is judged by the bits those entries lost inside
+that set since its stamp (``ReachMap.lost_within``), the semi-naive rule
+applied to the record itself: a shrink that misses the set leaves the
+record exact.
 """
 
 from __future__ import annotations
@@ -322,24 +324,19 @@ class ReachMap:
 
     ``entries[e]`` is the reachable set of edge e and ``holders[f]`` its
     transpose: the edges whose reachable set contains f.  Built from
-    ``holders`` alone (``ReachMap(holders=..., estage=...)``).  Entries only
-    ever shrink after initialization, so keeping ``holders`` current costs
-    at most the size of the initial map over a whole run.  ``log`` lists
-    every change as ``(1 << e, the bits removed from entry e)``, and its
-    length is the one clock: a reader notes ``len(log)`` as t, and
-    ``log[t:]`` are the changes made since, which ``lost_within`` and
-    ``removed_since`` walk.  ``stamps[k]`` is ``len(log)`` after the last
-    change to an entry of stage k (``estage[e]`` is edge e's stage), which
-    ``changed_since`` reads.
+    ``holders`` alone (``ReachMap(holders=...)``).  Entries only ever
+    shrink after initialization, so keeping ``holders`` current costs at
+    most the size of the initial map over a whole run.  ``log`` lists every
+    change as ``(1 << e, the bits removed from entry e)``, and its length is
+    the one clock: a reader notes ``len(log)`` as t, and ``log[t:]`` are the
+    changes made since, which ``lost_within`` and ``removed_since`` walk.
     """
 
-    __slots__ = ("entries", "holders", "estage", "stamps", "log")
+    __slots__ = ("entries", "holders", "log")
 
-    def __init__(self, *, holders: list[int], estage: tuple[int, ...]):
+    def __init__(self, *, holders: list[int]):
         self.entries = _transpose(holders)
         self.holders = holders
-        self.estage = estage
-        self.stamps = [0] * (max(estage, default=0) + 1)
         self.log: list[tuple[int, int]] = []
 
     def set_entry(self, eid: int, mask: int) -> bool:
@@ -351,20 +348,13 @@ class ReachMap:
         self.entries[eid] = mask
         removed = old & ~mask
         ebit = 1 << eid
-        log = self.log
-        log.append((ebit, removed))
-        self.stamps[self.estage[eid]] = len(log)
+        self.log.append((ebit, removed))
         holders = self.holders
         while removed:
             low = removed & -removed
             holders[low.bit_length() - 1] ^= ebit
             removed ^= low
         return True
-
-    def changed_since(self, k: int, t: int) -> bool:
-        """Whether an entry of a stage <= ``k`` (``k`` >= 0) changed since
-        the log held ``t`` changes."""
-        return t != len(self.log) and max(self.stamps[: k + 1]) > t
 
     def lost_within(self, members: int, t: int, within: int) -> int:
         """The edges of ``members`` whose entry lost a bit of ``within``
@@ -410,7 +400,7 @@ def init_all(g: MultistageGraph) -> ReachMap:
     fwd = _forward_lanes(g, both, g.full_mask, sink)
     back = _backward_lanes(g, both, g.full_mask, sink)
     holders = [both[f] & fwd[efrom[f]] & back[eto[f]] for f in range(m)]
-    return ReachMap(holders=holders, estage=g._estage)
+    return ReachMap(holders=holders)
 
 
 def comp(
@@ -658,25 +648,23 @@ class OperatorCaches:
     for its members f (X = W; members ending at v are exempt from the
     test), so does a fixpoint W found at v (``fixpoints``), and lane ec of
     the tables towards b reads R(ec) & es (``mid_tidy``; X = es).  Each
-    record stamps ``len(r.log)`` when it was last known exact, and
-    ``r.lost_within`` picks the edges it read whose entries lost a bit
-    inside X since then (``r.changed_since`` first passes over a record
-    none of whose stages changed; lane tables ask ``r.removed_since``
-    instead, see ``mid_tidy``).  A nonempty W at v is tidy from the
-    source to v, so its tested members are its edges outside v's stage,
-    ``W & ~in_mask[v]``.  With none, every read is as before,
-    so the record is still exact and is re-stamped: W is still a fixpoint
-    of comp's step (whose tidy reads no entry), and still the greatest
-    inside the ``comp`` key's edge set, since that can only shrink as
-    entries do.  No record holds a value of ``r.entries``: a ``comp`` entry
-    is its result and its stamp.
-    A stale ``comp`` entry with no such member settles (``comp_settled``);
+    record stamps ``len(r.log)`` when it was last known exact.  A record
+    stamped ``len(r.log)`` is current; for any other, ``r.lost_within``
+    picks the edges it read whose entries lost a bit inside X since the
+    stamp.  A nonempty W at v is tidy from the source to v, so its tested
+    members are its edges outside v's stage, ``W & ~in_mask[v]``.  With
+    none, every read is as before, so the record is still exact and is
+    re-stamped: W is still a fixpoint of comp's step (whose tidy reads no
+    entry), and still the greatest inside the ``comp`` key's edge set,
+    since that can only shrink as entries do.  No record holds a value of
+    ``r.entries``: a ``comp`` entry is its result and its stamp.  A stale
+    ``comp`` entry with no such member settles (``comp_settled``);
     otherwise ``comp`` re-runs from the result, testing those members
     first (``start``, ``lanes``).  A found fixpoint with such a member is
     dropped, and lane tables with such a lane are recomputed from the
-    lowest stage the loss can reach.  A cold ``comp``
-    result is also entered under its own value, since comp of a fixpoint is
-    itself.
+    lowest stage the loss can reach (``r.removed_since`` names the edges
+    to walk again).  A cold ``comp`` result is also entered under its own
+    value, since comp of a fixpoint is itself.
 
     ``comp_hits`` (``operator_calls["comp_cache_hits"]``) counts the hits
     made inside ``comp_value`` alone: every ``comp_value`` call that runs no
@@ -722,7 +710,7 @@ class OperatorCaches:
         A key seen before returns its record once it is brought up to date
         by the rule above: as it is while no entry it read lost a bit inside
         the result (a hit, counted in ``comp_hits``; ``comp_settled`` too if
-        the record's stages changed), else by a ``comp`` re-run from the
+        its stamp was behind the log), else by a ``comp`` re-run from the
         result that tests the members whose entries lost one.  A new key
         runs ``comp`` cold and enters the result under the key and under
         its own value.
@@ -737,7 +725,7 @@ class OperatorCaches:
             self.comp_runs += 1
             return result
         result, stamp = hit
-        if r.changed_since(g._vstage[vi] - 1, stamp):
+        if stamp != len(r.log):
             hit[1] = len(r.log)
             # the members ending at vi are exempt from the test
             dirty = r.lost_within(result & ~g._in_mask[vi], stamp, result)
@@ -763,19 +751,22 @@ class OperatorCaches:
 
         One pair is kept per ``bi``, with the lowest stage its back rows
         reach; a deeper request extends back by the missing stages alone.
-        The pair is exact for every lane when stamped; a lane reads only its
-        own entry inside ``es``, so the pair stays exact for the lanes of
-        stages below ``stage`` while ``es`` does and their entries lose no
-        bit of it.  Such a pair is returned as it is, and the record notes
-        (t, s): at log length t it is exact for the lanes below stage s,
-        the highest such stage proven at t, and ``change`` reads it in place
-        while that covers its stage.  Otherwise the edges the passes walk
-        that changed since the stamp are those that left or joined ``es``
-        and those whose ``holders`` changed (``r.removed_since``).  With
-        none the pair is re-stamped as it is, because later calls may ask
-        for every lane.  Else fwd resumes at the lowest stage holding a
-        changed edge, and back keeps its rows of the stages at or above the
-        highest one.
+        The pair is exact for every lane when stamped.  The record also notes
+        (t, s): at log length t the pair is exact for the lanes below stage
+        s, the highest such stage proven at t.  Lane ec reads only R(ec) &
+        ``es``, so the pair stays exact for the lanes of stages below
+        ``stage`` while ``es`` does and none of their entries loses a bit of
+        it (``r.lost_within`` over those lanes, from t when s covers
+        ``stage`` and from the stamp otherwise).  Such a pair is returned as
+        it is and noted exact below ``stage`` at the current length, and
+        ``change`` reads it in place while that covers its stage; its stamp
+        stays, since other lanes may have lost bits.  Otherwise the edges
+        the passes walk that changed since the stamp are those that left or
+        joined ``es`` and those whose ``holders`` changed
+        (``r.removed_since``).  With none the pair is re-stamped as it is,
+        because later calls may ask for every lane.  Else fwd resumes at the
+        lowest stage holding a changed edge, and back keeps its rows of the
+        stages at or above the highest one.
         """
         r = self.r
         g = self.graph
@@ -789,7 +780,8 @@ class OperatorCaches:
             self._lanes[bi] = [tables, es, now, depth, (now, g.stage_count + 1)]
             return tables
         tables, old, t, top, exact = rec  # back holds at the stages top and up
-        if old == es and not r.changed_since(stage - 1, t):
+        since = exact[0] if exact[1] >= stage else t
+        if old == es and not r.lost_within((1 << g._stage_end[stage - 1]) - 1, since, es):
             if exact < (now, stage):
                 rec[4] = now, stage
         else:
@@ -828,7 +820,7 @@ class OperatorCaches:
             self._found[vi] = [found, len(r.log)]
             return found
         found, t = hit
-        if found and r.changed_since(self.graph._vstage[vi] - 1, t):
+        if found and t != len(r.log):
             union = 0
             for w in found:
                 union |= w

@@ -5,6 +5,8 @@ from hypothesis import HealthCheck, settings
 
 from msplab.model import MultistageGraph
 
+pytest_plugins = ["pytester"]
+
 settings.register_profile(
     "ci",
     derandomize=True,

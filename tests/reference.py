@@ -168,30 +168,46 @@ def slice_ref(rg: RefGraph, es: frozenset[Triple], i: int, j: int) -> frozenset[
     return frozenset(t for t in es if i <= t[2] <= j)
 
 
+def sweep_ref(
+    rg: RefGraph,
+    reach: dict[Triple, frozenset[Triple]],
+    esets: dict[str, frozenset[Triple]],
+) -> tuple[dict[Triple, frozenset[Triple]], dict[str, frozenset[Triple]]]:
+    """One outer sweep of the solver from the state (``reach``, ``esets``):
+    for each stage, change every stage edge's reachable set, contract every
+    stage vertex's edge set, then re-limit every reachable set of that stage
+    or earlier.  Returns the new state; the inputs are left untouched."""
+    reach, esets = dict(reach), dict(esets)
+    for stage in range(1, rg.stages):
+        for e in rg.edges:
+            if e[2] == stage:
+                change_ref(rg, reach, e, esets)
+        for v in rg.by_stage[stage]:
+            esets[v] = comp_ref(rg, esets[v], v, reach)
+        for e in rg.edges:
+            if e[2] > stage:
+                continue
+            union: set[Triple] = set()
+            for v in rg.by_stage[stage]:
+                contracted = comp_ref(rg, esets[v], v, reach)
+                union |= tidy_ref(rg, reach[e] & contracted, e[1], v)
+            kept = (reach[e] - slice_ref(rg, reach[e], e[2] + 1, stage)) | slice_ref(
+                rg, frozenset(union), e[2] + 1, stage
+            )
+            reach[e] = tidy_ref(rg, kept, e[1], rg.sink)
+    return reach, esets
+
+
 def zh_ref(rg: RefGraph) -> tuple[str, frozenset[Triple]]:
+    """Sweeps from the initial state until a sweep leaves every reachable
+    set as it was, then contracts the sink's edge set."""
     reach = init_all_ref(rg)
     esets = dict(rg.esets)
     while True:
-        before = dict(reach)
-        for stage in range(1, rg.stages):
-            for e in rg.edges:
-                if e[2] == stage:
-                    change_ref(rg, reach, e, esets)
-            for v in rg.by_stage[stage]:
-                esets[v] = comp_ref(rg, esets[v], v, reach)
-            for e in rg.edges:
-                if e[2] > stage:
-                    continue
-                union: set[Triple] = set()
-                for v in rg.by_stage[stage]:
-                    contracted = comp_ref(rg, esets[v], v, reach)
-                    union |= tidy_ref(rg, reach[e] & contracted, e[1], v)
-                kept = (reach[e] - slice_ref(rg, reach[e], e[2] + 1, stage)) | slice_ref(
-                    rg, frozenset(union), e[2] + 1, stage
-                )
-                reach[e] = tidy_ref(rg, kept, e[1], rg.sink)
-        if reach == before:
+        after, esets = sweep_ref(rg, reach, esets)
+        if after == reach:
             break
+        reach = after
     final = comp_ref(rg, rg.esets[rg.sink], rg.sink, reach)
     return ("YES" if final else "NO", final)
 

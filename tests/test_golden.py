@@ -68,7 +68,7 @@ DIGEST = "637e334a870883a2a7d943f0daf979ebf6c1f7daca4fe047a3a4c06b5e1d16af"
 GEN_DIGEST = "512cc01d166180f49e1a3d8906681de3c48ab871caf80249ba81a61bc02d347f"
 CAMPAIGN_DIGEST = "3a83513aa6c6ca82fa28bba835fe70f77feb9cdb7cdf818a5738d8ed015c0d42"
 MINIMIZED_DIGEST = "f7d8f00931b8b108a7372bebfbc9bb0d3cc692685d4535cff527041509b8e539"
-COUNTS_DIGEST = "2599ae788418333d89bc592a685ff911da0ea8b5ddbb27394632ec0cea7f8855"
+COUNTS_DIGEST = "434aa903476d4163b106ceea29a8d9eb851dd62ae8cc64cc47b63d53544aad83"
 
 
 def corpus():

@@ -536,10 +536,11 @@ def test_operator_caches_stay_exact_as_entries_shrink():
                 ceb = mid_sets[bi]
                 for stage in (rnd.randrange(1, g.stage_count + 2), g.stage_count + 1):
                     depth = rnd.randrange(1, g._vstage[bi] + 1)
+                    lanes = (1 << g._stage_end[stage - 1]) - 1  # the lanes of stages < stage
                     hit = caches._lanes.get(bi)
                     kept = hit[0] if hit is not None else None
                     stale = hit is not None and hit[1] == ceb
-                    stale = stale and r.changed_since(stage - 1, hit[2])
+                    stale = stale and changed_entries(history, r, hit[2], lanes)
                     extended += hit is not None and depth < hit[3]
                     tables = caches.mid_tidy(bi, ceb, stage, depth)
                     lane_hits += tables is last_tables.get(bi)
@@ -547,7 +548,6 @@ def test_operator_caches_stay_exact_as_entries_shrink():
                     resumed += kept is not None and tables is not kept
                     last_tables[bi] = tables
                     above = g.span_mask(depth, g.stage_count)
-                    lanes = (1 << g._stage_end[stage - 1]) - 1  # the lanes of stages < stage
                     for ec in edge_ids(lanes):
                         seen.append(lane_tidy(g, r, tables, ceb & above, ec))
                         want = tidy(r.entries[ec] & ceb, g.edge_triple(ec)[1], names[bi], g)
@@ -592,7 +592,8 @@ def test_operator_caches_stay_exact_as_entries_shrink():
 def test_comp_cache_picks_the_changed_members_as_dirty_lanes(monkeypatch):
     """A stale ``comp`` entry re-runs with exactly the members of its result
     not ending at v whose entries lost a bit inside the result since its
-    stamp as lanes.  With none it counts one ``comp_settled``, also when
+    stamp as lanes.  A record is stale whenever any entry changed since its
+    stamp; with no such member it counts one ``comp_settled``, also when
     some of its members' entries changed outside the result."""
     import random
 
@@ -627,7 +628,7 @@ def test_comp_cache_picks_the_changed_members_as_dirty_lanes(monkeypatch):
                     assert lanes_seen == [None]
                     continue
                 result, stamp = entry
-                stale = r.changed_since(g._vstage[vi] - 1, stamp)
+                stale = bool(changed_entries(history, r, stamp, g.full_mask))
                 tested = result & ~g._in_mask[vi]
                 want = lost_since(g, r, history, stamp, tested, result)
                 moved = bool(changed_entries(history, r, stamp, tested))
@@ -911,7 +912,8 @@ def test_caches_ignore_entries_of_the_target_stage(chain_c):
     """A ``comp`` result at v, and a fixpoint found there, read only the
     entries of stages below stage(v): members ending at v are exempt from
     the test.  Shrinking an entry of v's own stage leaves both standing with
-    no re-check; shrinking one below it makes both stale."""
+    no ``comp`` re-run (the stale record settles); shrinking one below it
+    inside the result re-runs ``comp`` and drops the fixpoint."""
     r = init_all(chain_c)
     names = chain_c.vertex_names()
     bi = names.index("b")
@@ -922,7 +924,7 @@ def test_caches_ignore_entries_of_the_target_stage(chain_c):
     caches.fixpoints(bi).append(want)
     assert r.set_entry(a_b, 0)  # stage 2, the stage of b
     assert caches.comp_value(chain_c.full_mask, bi) == want
-    assert (caches.comp_runs, caches.comp_warm, caches.comp_settled) == (1, 0, 0)
+    assert (caches.comp_runs, caches.comp_warm, caches.comp_settled) == (1, 0, 1)
     assert caches.comp_hits == 1
     assert caches.fixpoints(bi) == [want]
     assert r.set_entry(s_a, 0)  # stage 1: S->a no longer reaches b
@@ -944,10 +946,12 @@ def test_comp_cache_enters_a_cold_result_under_its_own_value(chain_c):
 
 
 def test_lane_tables_are_restamped_only_when_every_lane_stands(chain_c):
-    """``mid_tidy`` keeps a stamp-stale pair of tables, and re-stamps it,
-    when no lane lost a bit of its edge set.  A loss in a lane above the
-    stages asked for keeps the pair from being re-stamped, so it is brought
-    up to date and a later call for every lane reads the new entries."""
+    """``mid_tidy`` keeps a stamp-stale pair of tables as it is while no
+    lane below the stage asked for lost a bit of its edge set, and notes it
+    exact for those lanes without re-stamping it.  A loss in a lane above
+    the stages asked for leaves the pair kept, but a later call for every
+    lane brings it up to date and reads the new entries; so does a loss
+    inside the set in a lane below the stage asked for."""
     r = init_all(chain_c)
     caches = OperatorCaches(chain_c, r)
     names = chain_c.vertex_names()
@@ -957,10 +961,22 @@ def test_lane_tables_are_restamped_only_when_every_lane_stands(chain_c):
     at_d = caches.mid_tidy(di, 1 << e3, 3, 1)
     assert r.set_entry(e1, 1 << e3)  # R(S->a) loses a->b, outside both sets
     assert caches.mid_tidy(bi, 1 << e1, 2, 1) is at_b
-    assert caches._lanes[bi][2] == len(r.log)
+    assert caches._lanes[bi][2] == 0 and caches._lanes[bi][4] == (len(r.log), 2)
     assert r.set_entry(e2, 0)  # R(a->b) loses b->D, inside the set at D
-    assert caches.mid_tidy(di, 1 << e3, 2, 1) is not at_d  # asks for lane S->a only
-    assert lane_tidy(chain_c, r, caches.mid_tidy(di, 1 << e3, 3, 1), 1 << e3, e2) == 0
+    assert caches.mid_tidy(di, 1 << e3, 2, 1) is at_d  # asks for lane S->a only
+    assert caches._lanes[di][2] == 0
+    at_d = caches.mid_tidy(di, 1 << e3, 3, 1)
+    assert caches._lanes[di][2] == len(r.log)
+    assert lane_tidy(chain_c, r, at_d, 1 << e3, e2) == 0
+    r = init_all(chain_c)
+    caches = OperatorCaches(chain_c, r)
+    es = (1 << e2) | (1 << e3)
+    at_d = caches.mid_tidy(di, es, 2, 1)
+    assert lane_tidy(chain_c, r, at_d, es, e1) == es
+    assert r.set_entry(e1, 0)  # R(S->a) loses a->b and b->D, inside the set at D
+    fresh = caches.mid_tidy(di, es, 2, 1)
+    assert fresh is not at_d and caches._lanes[di][2] == len(r.log)
+    assert lane_tidy(chain_c, r, fresh, es, e1) == 0
 
 
 def test_lane_tables_extend_downwards_and_resume_above_a_change():
@@ -1351,56 +1367,42 @@ def test_lane_passes_equal_a_plain_per_edge_walk_on_a_wide_graph():
 
 def test_reachmap_stamps_changes_by_log_position(chain_c):
     """``len(r.log)`` is the one clock.  A shrink logs its edge and the bits
-    it removed, and stamps that edge's stage alone with the new log length;
-    a no-op logs and stamps nothing.  ``changed_since`` is a flag."""
+    it removed; a no-op logs nothing."""
     r = init_all(chain_c)
     assert [chain_c.edge_triple(eid)[2] for eid in range(3)] == [1, 2, 3]
-    assert r.stamps == [0, 0, 0, 0]
     assert r.log == []
     assert not r.set_entry(0, r.entries[0])
-    assert r.stamps == [0, 0, 0, 0]
     assert r.log == []
     assert r.set_entry(0, 0)
-    assert r.stamps == [0, 1, 0, 0]
     assert r.log == [(0b001, 0b110)]
     assert r.set_entry(1, 0)
-    assert r.stamps == [0, 1, 2, 0]
     assert r.log == [(0b001, 0b110), (0b010, 0b100)]
     assert not r.set_entry(1, 0)
-    assert r.stamps == [0, 1, 2, 0]
     assert len(r.log) == 2
     assert r.removed_since(0) == 0b110 and r.removed_since(1) == 0b100
     assert r.removed_since(2) == 0
     assert r.lost_within(0b011, 0, 0b100) == 0b011 and r.lost_within(0b011, 1, 0b010) == 0
-    assert r.changed_since(0, 0) is False and r.changed_since(1, 0) is True
-    assert r.changed_since(1, 1) is False and r.changed_since(2, 1) is True
-    assert r.changed_since(3, 2) is False
-    assert r.changed_since(3, 0) is True
-    # only a stage above k changed since t, and t is not the current length
-    r = init_all(chain_c)
-    assert r.set_entry(1, 0)
-    assert r.changed_since(1, 0) is False and r.changed_since(2, 0) is True
 
 
 def test_reachmap_is_built_from_holders_alone():
-    """``ReachMap(holders=..., estage=...)`` derives ``entries`` as the
-    transpose of ``holders``; a positional call fails instead of reading
-    one table as the other."""
+    """``ReachMap(holders=...)`` derives ``entries`` as the transpose of
+    ``holders``; a positional call fails instead of reading one table as
+    the other."""
     import random
 
     for seed in range(20):
         g = random_graph(seed)
         rnd = random.Random(seed)
         holders = [rnd.randrange(g.full_mask + 1) for _ in range(g.edge_count)]
-        r = ReachMap(holders=holders, estage=g._estage)
+        r = ReachMap(holders=holders)
         assert r.holders is holders
         assert r.entries == [
             edge_set(f for f in range(g.edge_count) if holders[f] >> e & 1)
             for e in range(g.edge_count)
         ]
-        assert not any(r.stamps) and r.log == []
+        assert r.log == []
         with pytest.raises(TypeError):
-            ReachMap(holders, g._estage)
+            ReachMap(holders)
 
 
 def test_transpose_walks_wide_masks_byte_by_byte():
@@ -1486,7 +1488,7 @@ def test_comp_is_monotone_in_the_edge_set_and_the_reachable_sets():
         for _ in range(4):
             r2 = [thin(m) for m in full]
             r1 = [thin(m) for m in r2]
-            maps = [ReachMap(holders=transpose(r), estage=g._estage) for r in (r1, r2)]
+            maps = [ReachMap(holders=transpose(r)) for r in (r1, r2)]
             reaches = [
                 {g.edge_triple(i): triples_of(g, m) for i, m in enumerate(r)} for r in (r1, r2)
             ]
@@ -1502,32 +1504,6 @@ def test_comp_is_monotone_in_the_edge_set_and_the_reachable_sets():
                 compared += bool(low)
                 strict += low != high
     assert compared > 100 and strict > 30
-
-
-def sweep_ref(rg, reach, esets):
-    """One sweep of ``reference.zh_ref``'s loop body from the state
-    (``reach``, ``esets``), composed from ``change_ref``, ``comp_ref``,
-    ``tidy_ref`` and ``slice_ref`` exactly as ``zh_ref`` composes them; the
-    inputs are left untouched."""
-    reach, esets = dict(reach), dict(esets)
-    for stage in range(1, rg.stages):
-        for e in rg.edges:
-            if e[2] == stage:
-                ref.change_ref(rg, reach, e, esets)
-        for v in rg.by_stage[stage]:
-            esets[v] = ref.comp_ref(rg, esets[v], v, reach)
-        for e in rg.edges:
-            if e[2] > stage:
-                continue
-            union: set = set()
-            for v in rg.by_stage[stage]:
-                contracted = ref.comp_ref(rg, esets[v], v, reach)
-                union |= ref.tidy_ref(rg, reach[e] & contracted, e[1], v)
-            kept = (reach[e] - ref.slice_ref(rg, reach[e], e[2] + 1, stage)) | ref.slice_ref(
-                rg, frozenset(union), e[2] + 1, stage
-            )
-            reach[e] = ref.tidy_ref(rg, kept, e[1], rg.sink)
-    return reach, esets
 
 
 def state_cells(reach, esets):
@@ -1572,7 +1548,7 @@ def test_the_reference_sweep_is_monotone():
         y_cells = {c for c in sorted(state_cells(*top)) if rnd.random() < keep}
         x_cells = y_cells - set(rnd.sample(sorted(y_cells), min(len(y_cells), rnd.randint(1, 3))))
         y, x = state_of(y_cells, *top), state_of(x_cells, *top)
-        low, high = sweep_ref(rg, *x), sweep_ref(rg, *y)
+        low, high = ref.sweep_ref(rg, *x), ref.sweep_ref(rg, *y)
         for low_part, high_part in zip(low, high):
             for k, ts in low_part.items():
                 assert ts <= high_part[k], (g, k)
